@@ -2,7 +2,7 @@
 //!
 //! The methods here are the media-touching half of the allocator split
 //! introduced with the transient caching layer ([`crate::frontend`]).
-//! Every path below opens an [`crate::session::OpSession`] (sub-heap
+//! Every path below opens a [`crate::session::SubTx`] (sub-heap
 //! lock + MPK write window + metadata validation) and commits through
 //! the two-fence undo protocol — exactly the PR-4 cost model. The
 //! frontend calls in here only on cache misses, refills, drains and
@@ -16,6 +16,7 @@ use crate::heap::PoseidonHeap;
 use crate::hugeregion::{self, HUGE_SUBHEAP};
 use crate::layout::class_for_size;
 use crate::nvmptr::NvmPtr;
+use crate::session::HugeTx;
 use crate::subheap;
 
 impl PoseidonHeap {
@@ -84,7 +85,7 @@ impl PoseidonHeap {
                 }
                 let pkru = self.write_guard();
                 let lock = self.huge_lock.lock();
-                let op = hugeregion::HugeOp::spanning(self.huge_ctx(), sub, lock, pkru)?;
+                let op = HugeTx::spanning(self.huge_ctx(), sub, lock, pkru)?;
                 hugeregion::alloc(&op, size, Some(hugeregion::MicroHook { heap_id, sub, slot }))
             }
         };

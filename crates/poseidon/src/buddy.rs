@@ -12,13 +12,13 @@ use crate::error::{PoseidonError, Result};
 use crate::hashtable;
 use crate::layout::{class_for_size, NUM_CLASSES};
 use crate::persist::{state, HashEntry};
-use crate::session::{OpSession, UndoScope};
+use crate::session::{SubTx, UndoScope};
 
 /// Appends the FREE record at `rec_off` to the tail of its size class's
 /// list, writing the record (with fresh links) and the list pointers
 /// through the scope.
 pub(crate) fn push_tail(
-    op: &OpSession<'_>,
+    op: &SubTx<'_>,
     scope: &mut UndoScope<'_, '_>,
     rec_off: u64,
     rec: &mut HashEntry,
@@ -45,7 +45,7 @@ pub(crate) fn push_tail(
 /// record itself is *not* rewritten (callers always rewrite it right
 /// after, as allocated, merged, or re-linked).
 pub(crate) fn unlink(
-    op: &OpSession<'_>,
+    op: &SubTx<'_>,
     scope: &mut UndoScope<'_, '_>,
     rec_off: u64,
     rec: &HashEntry,
@@ -75,12 +75,12 @@ pub(crate) fn unlink(
 }
 
 /// Returns the head record offset of class `class` (0 = empty list).
-pub(crate) fn head(op: &OpSession<'_>, class: usize) -> Result<u64> {
+pub(crate) fn head(op: &SubTx<'_>, class: usize) -> Result<u64> {
     op.read_pod(op.ctx.buddy_head_off(class))
 }
 
 /// Finds the smallest class `>= class` with a non-empty free list.
-pub(crate) fn first_class_at_least(op: &OpSession<'_>, class: usize) -> Result<Option<usize>> {
+pub(crate) fn first_class_at_least(op: &SubTx<'_>, class: usize) -> Result<Option<usize>> {
     for k in class..NUM_CLASSES {
         if head(op, k)? != 0 {
             return Ok(Some(k));
@@ -91,7 +91,7 @@ pub(crate) fn first_class_at_least(op: &OpSession<'_>, class: usize) -> Result<O
 
 /// Collects the record offsets currently in class `class`'s list
 /// (a snapshot; the list may be mutated afterwards).
-pub(crate) fn collect(op: &OpSession<'_>, class: usize) -> Result<Vec<u64>> {
+pub(crate) fn collect(op: &SubTx<'_>, class: usize) -> Result<Vec<u64>> {
     let mut offs = Vec::new();
     let mut cursor = head(op, class)?;
     while cursor != 0 {
@@ -120,7 +120,7 @@ mod tests {
     }
 
     /// Inserts a FREE record of `size` at user offset `off` and links it.
-    fn add_free(op: &OpSession<'_>, off: u64, size: u64) -> u64 {
+    fn add_free(op: &SubTx<'_>, off: u64, size: u64) -> u64 {
         let mut s = op.undo().unwrap();
         let mut rec = HashEntry { offset: off, size, state: state::FREE, ..Default::default() };
         let rec_off = hashtable::insert(op, &mut s, rec, false).unwrap();
@@ -132,7 +132,7 @@ mod tests {
     #[test]
     fn fifo_order_per_class() {
         let (dev, layout) = setup();
-        let op = OpSession::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
+        let op = SubTx::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
         let a = add_free(&op, 0, 64);
         let b = add_free(&op, 64, 64);
         let c = add_free(&op, 128, 64);
@@ -144,7 +144,7 @@ mod tests {
     #[test]
     fn different_sizes_land_in_different_classes() {
         let (dev, layout) = setup();
-        let op = OpSession::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
+        let op = SubTx::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
         add_free(&op, 0, 64);
         add_free(&op, 4096, 4096);
         assert_eq!(collect(&op, class_for_size(64).unwrap().0).unwrap().len(), 1);
@@ -157,7 +157,7 @@ mod tests {
     #[test]
     fn unlink_middle_head_and_tail() {
         let (dev, layout) = setup();
-        let op = OpSession::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
+        let op = SubTx::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
         let a = add_free(&op, 0, 64);
         let b = add_free(&op, 64, 64);
         let c = add_free(&op, 128, 64);
@@ -190,7 +190,7 @@ mod tests {
     #[test]
     fn corrupt_links_are_detected() {
         let (dev, layout) = setup();
-        let op = OpSession::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
+        let op = SubTx::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
         let a = add_free(&op, 0, 64);
         let b = add_free(&op, 64, 64);
         // Claim b's prev is a dangling record that doesn't point back.

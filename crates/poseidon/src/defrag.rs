@@ -21,7 +21,7 @@ use crate::error::Result;
 use crate::hashtable;
 use crate::layout::class_for_size;
 use crate::persist::{state, FLAG_CACHED};
-use crate::session::OpSession;
+use crate::session::SubTx;
 
 /// Merges the FREE block recorded at `rec_off` with its buddy, cascading
 /// to larger classes while possible. Returns the number of merges.
@@ -30,7 +30,7 @@ use crate::session::OpSession;
 /// they are media-FREE but *withdrawn* from the free lists, so unlinking
 /// one here would corrupt list pointers — and the block may be in the
 /// application's hands via the cached fast path.
-pub(crate) fn merge_cascade(op: &OpSession<'_>, mut rec_off: u64) -> Result<u64> {
+pub(crate) fn merge_cascade(op: &SubTx<'_>, mut rec_off: u64) -> Result<u64> {
     let mut merged = 0;
     while let Some((surv_off, _)) = merge_once(op, rec_off)? {
         merged += 1;
@@ -45,7 +45,7 @@ pub(crate) fn merge_cascade(op: &OpSession<'_>, mut rec_off: u64) -> Result<u64>
 /// `None` when no merge is possible. [`merge_cascade`] is this in a
 /// loop; the maintenance engine calls it directly so every unit lands
 /// inside its budget.
-pub(crate) fn merge_once(op: &OpSession<'_>, rec_off: u64) -> Result<Option<(u64, u64)>> {
+pub(crate) fn merge_once(op: &SubTx<'_>, rec_off: u64) -> Result<Option<(u64, u64)>> {
     let rec = op.entry(rec_off)?;
     if rec.state != state::FREE || rec.flags & FLAG_CACHED != 0 {
         return Ok(None);
@@ -82,7 +82,7 @@ pub(crate) fn merge_once(op: &OpSession<'_>, rec_off: u64) -> Result<Option<(u64
 
 /// Trigger 1 (§5.4): merges buddies in every class **below** `class`,
 /// hoping to assemble a block large enough. Returns the number of merges.
-pub(crate) fn merge_all_below(op: &OpSession<'_>, class: usize) -> Result<u64> {
+pub(crate) fn merge_all_below(op: &SubTx<'_>, class: usize) -> Result<u64> {
     let mut merged = 0;
     for k in 0..class {
         // Snapshot, then re-validate each record: earlier merges may have
@@ -100,7 +100,7 @@ pub(crate) fn merge_all_below(op: &OpSession<'_>, class: usize) -> Result<u64> {
 /// Trigger 2 (§5.4): merges the free blocks found in `key`'s probe
 /// windows so an insert of `key` can find a slot. Returns the number of
 /// merges.
-pub(crate) fn compact_windows(op: &OpSession<'_>, key: u64) -> Result<u64> {
+pub(crate) fn compact_windows(op: &SubTx<'_>, key: u64) -> Result<u64> {
     let mut merged = 0;
     for (rec_off, rec) in hashtable::free_in_windows(op, key)? {
         let now = op.entry(rec_off)?;
@@ -126,7 +126,7 @@ mod tests {
         (dev, layout)
     }
 
-    fn add(op: &OpSession<'_>, off: u64, size: u64, st: u32) -> u64 {
+    fn add(op: &SubTx<'_>, off: u64, size: u64, st: u32) -> u64 {
         let mut s = op.undo().unwrap();
         let mut rec = HashEntry { offset: off, size, state: st, ..Default::default() };
         let rec_off = hashtable::insert(op, &mut s, rec, false).unwrap();
@@ -140,7 +140,7 @@ mod tests {
     #[test]
     fn two_free_buddies_merge() {
         let (dev, layout) = setup();
-        let op = OpSession::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
+        let op = SubTx::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
         let a = add(&op, 0, 64, state::FREE);
         add(&op, 64, 64, state::FREE);
         assert!(merge_cascade(&op, a).unwrap() > 0);
@@ -158,7 +158,7 @@ mod tests {
     #[test]
     fn merge_cascades_upward() {
         let (dev, layout) = setup();
-        let op = OpSession::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
+        let op = SubTx::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
         // Four free 64 B blocks covering [0, 256): cascade to one 256 B.
         let a = add(&op, 0, 64, state::FREE);
         add(&op, 64, 64, state::FREE);
@@ -177,7 +177,7 @@ mod tests {
     #[test]
     fn allocated_or_mismatched_buddies_do_not_merge() {
         let (dev, layout) = setup();
-        let op = OpSession::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
+        let op = SubTx::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
         let a = add(&op, 0, 64, state::FREE);
         add(&op, 64, 64, state::ALLOC);
         assert_eq!(merge_cascade(&op, a).unwrap(), 0);
@@ -190,7 +190,7 @@ mod tests {
     #[test]
     fn merge_all_below_assembles_larger_blocks() {
         let (dev, layout) = setup();
-        let op = OpSession::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
+        let op = SubTx::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
         for i in 0..8 {
             add(&op, i * 64, 64, state::FREE);
         }
@@ -205,7 +205,7 @@ mod tests {
     #[test]
     fn compact_windows_merges_only_window_blocks() {
         let (dev, layout) = setup();
-        let op = OpSession::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
+        let op = SubTx::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
         let _ = add(&op, 0, 64, state::FREE);
         add(&op, 64, 64, state::FREE);
         // Compacting around key 0 must at least merge the [0,128) pair if
@@ -220,7 +220,7 @@ mod tests {
         // The survivor and loser are adjacent in the same free list — the
         // reload-after-unlink path must handle their link updates.
         let (dev, layout) = setup();
-        let op = OpSession::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
+        let op = SubTx::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
         let a = add(&op, 0, 64, state::FREE);
         let b = add(&op, 64, 64, state::FREE);
         let (c64, _) = class_for_size(64).unwrap();

@@ -13,7 +13,7 @@
 use crate::error::{PoseidonError, Result};
 use crate::layout::{ENTRY_SIZE, MAX_LEVELS, PROBE_WINDOW, SH_TABLE_OFF};
 use crate::persist::{state, HashEntry};
-use crate::session::{OpSession, UndoScope};
+use crate::session::{SubTx, UndoScope};
 
 /// SplitMix64 mixing for slot hashing.
 fn mix(mut x: u64) -> u64 {
@@ -45,13 +45,13 @@ fn home_slot(key: u64, level: usize, capacity: u64) -> u64 {
 
 /// Device offset of slot `index` in `level` of `op`'s table.
 #[inline]
-fn slot_off(op: &OpSession<'_>, level: usize, index: u64) -> u64 {
+fn slot_off(op: &SubTx<'_>, level: usize, index: u64) -> u64 {
     op.ctx.layout.level_base(op.ctx.sub, level) + index * ENTRY_SIZE
 }
 
 /// Looks up the record whose key (block offset) is `key`.
 /// Returns the record's device offset and value, or `None`.
-pub(crate) fn lookup(op: &OpSession<'_>, key: u64) -> Result<Option<(u64, HashEntry)>> {
+pub(crate) fn lookup(op: &SubTx<'_>, key: u64) -> Result<Option<(u64, HashEntry)>> {
     let active = op.active_levels()? as usize;
     for level in 0..active.min(MAX_LEVELS) {
         let capacity = op.ctx.layout.level_capacity(level);
@@ -83,7 +83,7 @@ pub(crate) fn lookup(op: &OpSession<'_>, key: u64) -> Result<Option<(u64, HashEn
 /// defragment and retry, per §5.2); [`PoseidonError::Corrupted`] if the
 /// key already exists.
 pub(crate) fn insert(
-    op: &OpSession<'_>,
+    op: &SubTx<'_>,
     scope: &mut UndoScope<'_, '_>,
     entry: HashEntry,
     allow_activate: bool,
@@ -153,7 +153,7 @@ pub(crate) fn write_entry(scope: &mut UndoScope<'_, '_>, entry_off: u64, entry: 
 
 /// Tombstones the record at `entry_off` and decrements its level's live
 /// count.
-pub(crate) fn delete(op: &OpSession<'_>, scope: &mut UndoScope<'_, '_>, entry_off: u64) -> Result<()> {
+pub(crate) fn delete(op: &SubTx<'_>, scope: &mut UndoScope<'_, '_>, entry_off: u64) -> Result<()> {
     let level = level_of(op, entry_off);
     let mut entry = op.entry(entry_off)?;
     let key = entry.offset;
@@ -166,7 +166,7 @@ pub(crate) fn delete(op: &OpSession<'_>, scope: &mut UndoScope<'_, '_>, entry_of
 }
 
 /// The level containing the record at device offset `entry_off`.
-pub(crate) fn level_of(op: &OpSession<'_>, entry_off: u64) -> usize {
+pub(crate) fn level_of(op: &SubTx<'_>, entry_off: u64) -> usize {
     let table_base = op.ctx.meta_base() + SH_TABLE_OFF;
     debug_assert!(entry_off >= table_base);
     let index = (entry_off - table_base) / ENTRY_SIZE;
@@ -183,18 +183,13 @@ pub(crate) fn level_of(op: &OpSession<'_>, entry_off: u64) -> usize {
 
 /// Toggles `key` into/out of `level`'s identity checksum (XOR is its own
 /// inverse, so insert and delete share this).
-fn bump_level_sum(op: &OpSession<'_>, scope: &mut UndoScope<'_, '_>, level: usize, key: u64) -> Result<()> {
+fn bump_level_sum(op: &SubTx<'_>, scope: &mut UndoScope<'_, '_>, level: usize, key: u64) -> Result<()> {
     let off = op.ctx.level_sum_off(level);
     let sum: u64 = op.read_pod(off)?;
     scope.log_and_write_pod(off, &(sum ^ key_digest(key)))
 }
 
-fn bump_level_count(
-    op: &OpSession<'_>,
-    scope: &mut UndoScope<'_, '_>,
-    level: usize,
-    delta: i64,
-) -> Result<()> {
+fn bump_level_count(op: &SubTx<'_>, scope: &mut UndoScope<'_, '_>, level: usize, delta: i64) -> Result<()> {
     let off = op.ctx.level_count_off(level);
     let count: u64 = op.read_pod(off)?;
     let updated =
@@ -206,7 +201,7 @@ fn bump_level_count(
 /// active level — the candidate set for probe-window defragmentation
 /// (§5.4, trigger 2). Cache-managed records are skipped: they are
 /// withdrawn from the free lists and must not be merged.
-pub(crate) fn free_in_windows(op: &OpSession<'_>, key: u64) -> Result<Vec<(u64, HashEntry)>> {
+pub(crate) fn free_in_windows(op: &SubTx<'_>, key: u64) -> Result<Vec<(u64, HashEntry)>> {
     let active = (op.active_levels()? as usize).min(MAX_LEVELS);
     let mut found = Vec::new();
     for level in 0..active {
@@ -228,7 +223,7 @@ pub(crate) fn free_in_windows(op: &OpSession<'_>, key: u64) -> Result<Vec<(u64, 
 /// Whether the top active level is empty, i.e. whether [`shrink`] would
 /// deactivate anything. Two view reads — cheap enough to probe on every
 /// free.
-pub(crate) fn shrink_would_release(op: &OpSession<'_>) -> Result<bool> {
+pub(crate) fn shrink_would_release(op: &SubTx<'_>) -> Result<bool> {
     let active = op.active_levels()? as usize;
     if active <= 1 {
         return Ok(false);
@@ -240,7 +235,7 @@ pub(crate) fn shrink_would_release(op: &OpSession<'_>) -> Result<bool> {
 /// Deactivates trailing levels whose live count is zero, hole-punching
 /// their slots back to the device (§5.6). Runs its own scopes; safe to
 /// call whenever no scope is open on this sub-heap.
-pub(crate) fn shrink(op: &OpSession<'_>) -> Result<u64> {
+pub(crate) fn shrink(op: &SubTx<'_>) -> Result<u64> {
     let mut released = 0;
     while let Some(bytes) = shrink_one(op)? {
         released += bytes;
@@ -254,7 +249,7 @@ pub(crate) fn shrink(op: &OpSession<'_>) -> Result<u64> {
 /// level is still populated. [`shrink`] is this in a loop; the
 /// maintenance engine calls it directly so each level retired counts
 /// one unit against its budget.
-pub(crate) fn shrink_one(op: &OpSession<'_>) -> Result<Option<u64>> {
+pub(crate) fn shrink_one(op: &SubTx<'_>) -> Result<Option<u64>> {
     let active = op.active_levels()? as usize;
     if active <= 1 {
         return Ok(None);
@@ -297,7 +292,7 @@ mod tests {
         HashEntry { offset: key, size: 64, state: state::ALLOC, ..Default::default() }
     }
 
-    fn with_scope<R>(op: &OpSession<'_>, f: impl FnOnce(&mut UndoScope<'_, '_>) -> Result<R>) -> Result<R> {
+    fn with_scope<R>(op: &SubTx<'_>, f: impl FnOnce(&mut UndoScope<'_, '_>) -> Result<R>) -> Result<R> {
         let mut s = op.undo()?;
         let r = f(&mut s)?;
         s.commit()?;
@@ -307,7 +302,7 @@ mod tests {
     #[test]
     fn insert_then_lookup() {
         let (dev, layout) = setup();
-        let op = OpSession::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
+        let op = SubTx::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
         let off = with_scope(&op, |s| insert(&op, s, entry(4096), false)).unwrap();
         let (found_off, found) = lookup(&op, 4096).unwrap().unwrap();
         assert_eq!(found_off, off);
@@ -319,7 +314,7 @@ mod tests {
     #[test]
     fn delete_tombstones_and_lookup_probes_past() {
         let (dev, layout) = setup();
-        let op = OpSession::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
+        let op = SubTx::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
         // Insert several keys, delete one, others must stay findable even
         // if they shared a probe chain with the deleted one.
         let keys: Vec<u64> = (0..20).map(|i| i * 32).collect();
@@ -337,7 +332,7 @@ mod tests {
     #[test]
     fn tombstones_are_reused() {
         let (dev, layout) = setup();
-        let op = OpSession::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
+        let op = SubTx::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
         let off = with_scope(&op, |s| insert(&op, s, entry(64), false)).unwrap();
         with_scope(&op, |s| delete(&op, s, off)).unwrap();
         let off2 = with_scope(&op, |s| insert(&op, s, entry(64), false)).unwrap();
@@ -347,7 +342,7 @@ mod tests {
     #[test]
     fn duplicate_insert_is_corruption() {
         let (dev, layout) = setup();
-        let op = OpSession::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
+        let op = SubTx::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
         with_scope(&op, |s| insert(&op, s, entry(96), false)).unwrap();
         let r = with_scope(&op, |s| insert(&op, s, entry(96), false));
         assert!(matches!(r, Err(PoseidonError::Corrupted(_))));
@@ -356,7 +351,7 @@ mod tests {
     #[test]
     fn second_tombstone_with_matching_stale_key_is_not_a_duplicate() {
         let (dev, layout) = setup();
-        let op = OpSession::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
+        let op = SubTx::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
         // Two keys whose home slots collide in level 0 (away from the
         // wrap point so the probe order below is the slot order).
         let c0 = layout.c0;
@@ -386,7 +381,7 @@ mod tests {
     #[test]
     fn level_count_tracks_live_entries() {
         let (dev, layout) = setup();
-        let op = OpSession::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
+        let op = SubTx::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
         let off = with_scope(&op, |s| insert(&op, s, entry(128), false)).unwrap();
         assert_eq!(dev.read_pod::<u64>(op.ctx.level_count_off(0)).unwrap(), 1);
         with_scope(&op, |s| delete(&op, s, off)).unwrap();
@@ -396,7 +391,7 @@ mod tests {
     #[test]
     fn window_exhaustion_without_activation_is_table_full() {
         let (dev, layout) = setup();
-        let op = OpSession::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
+        let op = SubTx::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
         // Fill level 0 completely (c0 entries), then one more insert with
         // allow_activate = false must fail.
         let mut inserted = 0u64;
@@ -423,7 +418,7 @@ mod tests {
     #[test]
     fn activation_extends_and_lookup_spans_levels() {
         let (dev, layout) = setup();
-        let op = OpSession::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
+        let op = SubTx::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
         // Fill until activation is needed, with activation allowed.
         let total = layout.c0 + 8;
         for i in 0..total {
@@ -438,7 +433,7 @@ mod tests {
     #[test]
     fn shrink_deactivates_empty_top_level() {
         let (dev, layout) = setup();
-        let op = OpSession::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
+        let op = SubTx::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
         let total = layout.c0 + 8;
         let mut offs = Vec::new();
         for i in 0..total {
@@ -472,7 +467,7 @@ mod tests {
     #[test]
     fn level_of_maps_bases_correctly() {
         let (dev, layout) = setup();
-        let op = OpSession::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
+        let op = SubTx::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
         for level in 0..MAX_LEVELS {
             let base = layout.level_base(0, level);
             assert_eq!(level_of(&op, base), level);
@@ -484,7 +479,7 @@ mod tests {
     #[test]
     fn free_in_windows_reports_free_records() {
         let (dev, layout) = setup();
-        let op = OpSession::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
+        let op = SubTx::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
         let mut e = entry(256);
         e.state = state::FREE;
         with_scope(&op, |s| insert(&op, s, e, false)).unwrap();

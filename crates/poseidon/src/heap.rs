@@ -14,10 +14,10 @@ use crate::frontend::{CacheConfig, HeapCache};
 use crate::hugeregion::{self, HugeAudit, HUGE_SUBHEAP};
 use crate::layout::{HeapLayout, Region, MAX_SUBHEAPS};
 use crate::nvmptr::NvmPtr;
-use crate::persist::{DirEntry, HugeCtx, SubCtx, SUPERBLOCK_MAGIC};
+use crate::persist::{DirEntry, HugeCtx, SbCtx, SubCtx, SUPERBLOCK_MAGIC};
 use crate::recovery::{self, RecoveryReport};
 use crate::selfheal::HealthCounters;
-use crate::session::OpSession;
+use crate::session::{AreaLock, HugeTx, SbTx, SubTx};
 use crate::subheap::{self, SubheapAudit};
 use crate::superblock;
 
@@ -392,7 +392,7 @@ impl PoseidonHeap {
     }
 
     /// Detaches the caching layer (clean-close teardown needs to drain
-    /// magazines mutably while still opening operation sessions on
+    /// magazines mutably while still opening transactions on
     /// `&self`).
     pub(crate) fn take_cache(&mut self) -> Option<HeapCache> {
         self.cache.take()
@@ -404,7 +404,7 @@ impl PoseidonHeap {
     }
 
     /// Whether `sub` is created and not quarantined — i.e. safe to open
-    /// an operation session on.
+    /// a transaction on.
     pub(crate) fn sub_usable(&self, sub: u16) -> bool {
         let slot = &self.slots[sub as usize];
         slot.created.load(Ordering::Acquire) && !slot.quarantined.load(Ordering::Acquire)
@@ -428,45 +428,53 @@ impl PoseidonHeap {
         self.pkey.map(|k| self.dev.mpk().grant_write(k))
     }
 
-    /// Opens a mutating operation session on `sub`: grants metadata write
+    /// Opens a mutating transaction on `sub`: grants metadata write
     /// access, takes the sub-heap lock, and validates + maps the whole
     /// metadata range *once*. Every word access inside the operation then
-    /// goes through the session's view with no further per-word checks.
-    pub(crate) fn begin_op(&self, sub: u16) -> Result<OpSession<'_>> {
+    /// goes through the transaction's view with no further per-word checks.
+    pub(crate) fn begin_op(&self, sub: u16) -> Result<SubTx<'_>> {
         let pkru = self.write_guard();
         let lock = self.slots[sub as usize].lock.lock();
-        OpSession::guarded(SubCtx { dev: &self.dev, layout: &self.layout, sub }, lock, pkru)
+        SubTx::guarded(SubCtx { dev: &self.dev, layout: &self.layout, sub }, lock, pkru)
     }
 
-    /// Opens a read-only operation session on `sub` (no `wrpkru` pair —
+    /// Opens a read-only transaction on `sub` (no `wrpkru` pair —
     /// metadata pages rest at read-only, so reads need no grant).
-    pub(crate) fn begin_read_op(&self, sub: u16) -> Result<OpSession<'_>> {
+    pub(crate) fn begin_read_op(&self, sub: u16) -> Result<SubTx<'_>> {
         let lock = self.slots[sub as usize].lock.lock();
-        OpSession::read_only(SubCtx { dev: &self.dev, layout: &self.layout, sub }, lock)
+        SubTx::read_only(SubCtx { dev: &self.dev, layout: &self.layout, sub }, lock)
     }
 
     pub(crate) fn huge_ctx(&self) -> HugeCtx<'_> {
         HugeCtx { dev: &self.dev, layout: &self.layout }
     }
 
-    /// Opens a mutating session on the huge region (write grant + huge
-    /// lock), refusing if recovery quarantined the region.
-    pub(crate) fn begin_huge(&self) -> Result<hugeregion::HugeOp<'_>> {
+    /// Opens a mutating transaction on the huge region (write grant +
+    /// huge lock), refusing if recovery quarantined the region.
+    pub(crate) fn begin_huge(&self) -> Result<HugeTx<'_>> {
         if self.huge_quarantined.load(Ordering::Acquire) {
             return Err(PoseidonError::SubheapQuarantined { subheap: HUGE_SUBHEAP });
         }
         let pkru = self.write_guard();
         let lock = self.huge_lock.lock();
-        hugeregion::HugeOp::guarded(self.huge_ctx(), lock, pkru)
+        HugeTx::guarded(self.huge_ctx(), lock, pkru)
     }
 
-    /// Opens a read-only session on the huge region.
-    pub(crate) fn begin_huge_read(&self) -> Result<hugeregion::HugeOp<'_>> {
+    /// Opens a read-only transaction on the huge region.
+    pub(crate) fn begin_huge_read(&self) -> Result<HugeTx<'_>> {
         if self.huge_quarantined.load(Ordering::Acquire) {
             return Err(PoseidonError::SubheapQuarantined { subheap: HUGE_SUBHEAP });
         }
         let lock = self.huge_lock.lock();
-        hugeregion::HugeOp::read_only(self.huge_ctx(), lock)
+        HugeTx::read_only(self.huge_ctx(), lock)
+    }
+
+    /// Opens a superblock transaction under `lock` — the `sb_lock` guard,
+    /// moved in or lent by a caller that holds it longer — with the
+    /// metadata write grant.
+    pub(crate) fn begin_sb<'h>(&'h self, lock: impl Into<AreaLock<'h>>) -> Result<SbTx<'h>> {
+        let pkru = self.write_guard();
+        SbTx::guarded(SbCtx { dev: &self.dev }, lock, pkru)
     }
 
     pub(crate) fn ensure_subheap(&self, sub: u16) -> Result<()> {
@@ -480,7 +488,7 @@ impl PoseidonHeap {
         let node = self.dev.topology().node_of_cpu(numa::current_cpu()) as u32;
         let _guard = self.write_guard();
         {
-            let op = OpSession::unguarded(SubCtx { dev: &self.dev, layout: &self.layout, sub })?;
+            let op = SubTx::unguarded(SubCtx { dev: &self.dev, layout: &self.layout, sub })?;
             subheap::create(&op, node)?;
         }
         superblock::publish_subheap(&self.dev, sub, DirEntry { state: 1, node })?;
@@ -906,9 +914,7 @@ impl PoseidonHeap {
         // checked-out block (batched, one two-fence scope per sub-heap)
         // before the root makes any of them reachable.
         self.publish_cached()?;
-        let _guard = self.write_guard();
-        let _sb = self.sb_lock.lock();
-        superblock::set_root(&self.dev, ptr)
+        superblock::set_root(&self.begin_sb(self.sb_lock.lock())?, ptr)
     }
 
     /// Returns the reserved size (the rounded power-of-two class size) of
@@ -1085,7 +1091,7 @@ impl PoseidonHeap {
     /// device errors — a failure before the commit leaves the heap on the
     /// old layout.
     pub fn grow(&self, new_capacity: u64) -> Result<GrowReport> {
-        let _sb = self.sb_lock.lock();
+        let sb = self.sb_lock.lock();
         let old_capacity = self.layout.capacity();
         let epoch = self.layout.plan_growth(new_capacity)?;
         // Extend the device first — durable immediately, like ftruncate
@@ -1104,10 +1110,7 @@ impl PoseidonHeap {
             }
         }
         let index = self.layout.epoch_count();
-        {
-            let _guard = self.write_guard();
-            superblock::commit_epoch(&self.dev, index, &epoch)?;
-        }
+        superblock::commit_epoch(&self.begin_sb(&sb)?, index, &epoch)?;
         // THE commit point has passed; everything below is completion
         // that recovery re-runs idempotently after a crash.
         self.layout.push_epoch(epoch).expect("planned epoch extends the chain");

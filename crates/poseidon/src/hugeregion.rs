@@ -23,10 +23,11 @@
 //! fits (page-granular), splitting off the remainder; freeing coalesces
 //! with free neighbours eagerly, so adjacent free extents never persist
 //! and fragmentation stays bounded by the live-object pattern. Every
-//! mutation goes through the same batched two-fence undo log as sub-heap
-//! metadata ([`UndoScope::begin_raw`] on the region's own log area), so
-//! a crash at any point is rolled back by the ordinary device-backed
-//! replay on the next load.
+//! function here runs inside a [`HugeTx`] — the huge-region area of the
+//! one metadata transaction type — so every mutation goes through the
+//! same batched two-fence undo log as sub-heap metadata, on the region's
+//! own log area, and a crash at any point is rolled back by the ordinary
+//! device-backed replay on the next load.
 //!
 //! Metadata lives in the MPK-protected prefix; data pages are punched
 //! back to the device on free. Extents overlapping uncorrectable media
@@ -35,11 +36,7 @@
 //!
 //! [`HeapLayout::max_alloc`]: crate::layout::HeapLayout::max_alloc
 
-use std::cell::RefCell;
-
-use mpk::PkruGuard;
-use pmem::contention::TrackedGuard;
-use pmem::{AccessKind, MetaView, PmemDevice, PoisonRange, PAGE_SIZE};
+use pmem::{PmemDevice, PoisonRange, PAGE_SIZE};
 
 use crate::error::{PoseidonError, Result};
 use crate::layout::{
@@ -49,111 +46,13 @@ use crate::layout::{
 use crate::nvmptr::NvmPtr;
 use crate::persist::{state, ExtentRecord, HugeCtx, HugeHeader, SubCtx, FORMAT_VERSION, HUGE_MAGIC};
 use crate::quarantine;
-use crate::session::UndoScope;
-use crate::undo::StagedWrites;
+use crate::session::HugeTx;
 
 /// Sentinel sub-heap id embedded in huge-object pointers: `u16::MAX`
 /// never names a real sub-heap (the directory is capped below it), so a
 /// pointer carrying it is routed to the extent allocator by every heap
 /// entry point (`free`, `block_size`, `realloc`, recovery).
 pub(crate) const HUGE_SUBHEAP: u16 = u16::MAX;
-
-/// One operation's session on the huge region — the extent allocator's
-/// analogue of `OpSession`: a [`MetaView`] over the huge metadata
-/// (validated once), the staged-write overlay of the open undo scope,
-/// and optionally the huge-region lock and the PKRU write guard.
-#[derive(Debug)]
-pub(crate) struct HugeOp<'a> {
-    pub(crate) ctx: HugeCtx<'a>,
-    view: MetaView<'a>,
-    staged: RefCell<StagedWrites>,
-    // Field order is drop order: view stats flush under the lock, then
-    // the lock releases, then write access is revoked.
-    _lock: Option<TrackedGuard<'a, ()>>,
-    _pkru: Option<PkruGuard<'a>>,
-}
-
-impl<'a> HugeOp<'a> {
-    fn map(
-        ctx: HugeCtx<'a>,
-        view_base: u64,
-        view_size: u64,
-        kind: AccessKind,
-        lock: Option<TrackedGuard<'a, ()>>,
-        pkru: Option<PkruGuard<'a>>,
-    ) -> Result<HugeOp<'a>> {
-        debug_assert!(ctx.layout.huge_data_size() > 0, "no huge region on this layout");
-        let view = ctx.dev.map_meta(view_base, view_size, kind)?;
-        Ok(HugeOp { ctx, view, staged: RefCell::new(Vec::new()), _lock: lock, _pkru: pkru })
-    }
-
-    /// A write session owning the huge-region lock guard and (when
-    /// metadata protection is on) the PKRU write guard.
-    pub fn guarded(
-        ctx: HugeCtx<'a>,
-        lock: TrackedGuard<'a, ()>,
-        pkru: Option<PkruGuard<'a>>,
-    ) -> Result<HugeOp<'a>> {
-        Self::map(ctx, ctx.meta_base(), HUGE_META_SIZE, AccessKind::Write, Some(lock), pkru)
-    }
-
-    /// A write session whose view *spans* from sub-heap `sub`'s metadata
-    /// up to the end of the huge metadata — used by transactional huge
-    /// allocation, which must log the extent writes and the sub-heap's
-    /// micro-log append in **one** undo scope (the undo log stores
-    /// absolute targets, so device-backed replay restores both regions).
-    ///
-    /// # Errors
-    ///
-    /// [`PoseidonError::MediaError`] if any metadata page in the span is
-    /// poisoned — including an unrelated sub-heap's between `sub` and the
-    /// huge metadata. Transactional huge allocation degrades in that
-    /// (already-quarantined) situation; plain huge allocation does not.
-    pub fn spanning(
-        ctx: HugeCtx<'a>,
-        sub: u16,
-        lock: TrackedGuard<'a, ()>,
-        pkru: Option<PkruGuard<'a>>,
-    ) -> Result<HugeOp<'a>> {
-        let base = ctx.layout.meta_base(sub);
-        Self::map(ctx, base, ctx.layout.meta_end() - base, AccessKind::Write, Some(lock), pkru)
-    }
-
-    /// A write session without guards, for callers that already hold
-    /// them (formatting, recovery) and for module tests.
-    pub fn unguarded(ctx: HugeCtx<'a>) -> Result<HugeOp<'a>> {
-        Self::map(ctx, ctx.meta_base(), HUGE_META_SIZE, AccessKind::Write, None, None)
-    }
-
-    /// A read-only session holding the huge-region lock but no PKRU
-    /// grant (metadata pages rest readable).
-    pub fn read_only(ctx: HugeCtx<'a>, lock: TrackedGuard<'a, ()>) -> Result<HugeOp<'a>> {
-        Self::map(ctx, ctx.meta_base(), HUGE_META_SIZE, AccessKind::Read, Some(lock), None)
-    }
-
-    /// Reads a [`pmem::Pod`] value through the view, patched with the
-    /// open scope's staged writes.
-    pub fn read_pod<T: pmem::Pod>(&self, offset: u64) -> Result<T> {
-        let mut value = T::zeroed();
-        self.view.read(offset, value.as_bytes_mut())?;
-        crate::undo::overlay_patch(&self.staged.borrow(), offset, value.as_bytes_mut());
-        Ok(value)
-    }
-
-    /// Reads extent-table slot `slot` (overlay-patched).
-    pub fn slot(&self, slot: usize) -> Result<ExtentRecord> {
-        self.read_pod(self.ctx.slot_off(slot))
-    }
-
-    /// Opens an undo scope on the huge region's log area.
-    ///
-    /// # Errors
-    ///
-    /// As for [`UndoScope::begin_raw`].
-    pub fn undo(&self) -> Result<UndoScope<'_, 'a>> {
-        UndoScope::begin_raw(&self.view, &self.staged, self.ctx.undo_area(), self._lock.is_some())
-    }
-}
 
 /// Shorthand for building an [`ExtentRecord`].
 fn extent(offset: u64, len: u64, state: u32) -> ExtentRecord {
@@ -241,7 +140,7 @@ fn data_size_off(ctx: &HugeCtx<'_>) -> u64 {
 ///
 /// [`PoseidonError::TableFull`] when no vacant slot can hold a new
 /// band's extent.
-pub(crate) fn extend_to_layout(op: &HugeOp<'_>) -> Result<u64> {
+pub(crate) fn extend_to_layout(op: &HugeTx<'_>) -> Result<u64> {
     let target = op.ctx.layout.huge_data_size();
     let recorded = op.ctx.header()?.data_size;
     if recorded >= target {
@@ -271,7 +170,7 @@ pub(crate) fn extend_to_layout(op: &HugeOp<'_>) -> Result<u64> {
 
 /// What transactional huge allocation must append to the owning
 /// sub-heap's micro log, inside the same undo scope as the extent
-/// writes (see [`HugeOp::spanning`]).
+/// writes (see [`HugeTx::spanning`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct MicroHook {
     /// Heap id to embed in the logged pointer.
@@ -286,7 +185,7 @@ pub(crate) struct MicroHook {
 /// over the lowest-offset free extent that fits, splitting the
 /// remainder into a vacant slot. With `micro`, additionally appends the
 /// resulting pointer to the transaction's micro log **in the same undo
-/// scope** (the session must be [`HugeOp::spanning`]). Returns the
+/// scope** (the transaction must be [`HugeTx::spanning`]). Returns the
 /// extent's offset within the data region.
 ///
 /// # Errors
@@ -295,7 +194,7 @@ pub(crate) struct MicroHook {
 /// the largest free extent) when nothing fits;
 /// [`PoseidonError::TableFull`] when a split needs a slot and none is
 /// vacant; [`PoseidonError::TxTooLarge`] when the micro slot is full.
-pub(crate) fn alloc(op: &HugeOp<'_>, size: u64, micro: Option<MicroHook>) -> Result<u64> {
+pub(crate) fn alloc(op: &HugeTx<'_>, size: u64, micro: Option<MicroHook>) -> Result<u64> {
     if size == 0 {
         return Err(PoseidonError::ZeroSize);
     }
@@ -368,7 +267,7 @@ pub(crate) fn alloc(op: &HugeOp<'_>, size: u64, micro: Option<MicroHook>) -> Res
 /// [`PoseidonError::DoubleFree`] if the extent is already free;
 /// [`PoseidonError::InvalidFree`] if no allocated extent starts at
 /// `offset` (including quarantined ones).
-pub(crate) fn free(op: &HugeOp<'_>, offset: u64) -> Result<u64> {
+pub(crate) fn free(op: &HugeTx<'_>, offset: u64) -> Result<u64> {
     let mut target = None;
     for i in 0..HUGE_EXTENT_SLOTS {
         let rec = op.slot(i)?;
@@ -437,7 +336,7 @@ pub(crate) fn free(op: &HugeOp<'_>, offset: u64) -> Result<u64> {
 }
 
 /// Finds the live extent starting at exactly `offset` (any state).
-pub(crate) fn lookup(op: &HugeOp<'_>, offset: u64) -> Result<Option<ExtentRecord>> {
+pub(crate) fn lookup(op: &HugeTx<'_>, offset: u64) -> Result<Option<ExtentRecord>> {
     for i in 0..HUGE_EXTENT_SLOTS {
         let rec = op.slot(i)?;
         if rec.state != state::EMPTY && rec.offset == offset {
@@ -451,7 +350,7 @@ pub(crate) fn lookup(op: &HugeOp<'_>, offset: u64) -> Result<Option<ExtentRecord
 /// page-granularly (a whole-extent fallback covers a tight table).
 /// Returns `(extents_quarantined, bytes_quarantined)`. Allocated
 /// extents are left to their owner — `free` quarantines them later.
-pub(crate) fn quarantine_poisoned(op: &HugeOp<'_>, poison: &[PoisonRange]) -> Result<(u64, u64)> {
+pub(crate) fn quarantine_poisoned(op: &HugeTx<'_>, poison: &[PoisonRange]) -> Result<(u64, u64)> {
     if poison.is_empty() {
         return Ok((0, 0));
     }
@@ -550,7 +449,7 @@ pub struct HugeAudit {
 /// # Errors
 ///
 /// [`PoseidonError::Corrupted`] naming the violated invariant.
-pub(crate) fn audit(op: &HugeOp<'_>) -> Result<HugeAudit> {
+pub(crate) fn audit(op: &HugeTx<'_>) -> Result<HugeAudit> {
     let mut live = Vec::new();
     for i in 0..HUGE_EXTENT_SLOTS {
         let rec = op.slot(i)?;
@@ -639,7 +538,7 @@ mod tests {
         let (dev, layout) = setup();
         let ctx = HugeCtx { dev: &dev, layout: &layout };
         validate(&ctx).unwrap();
-        let op = HugeOp::unguarded(ctx).unwrap();
+        let op = HugeTx::unguarded(ctx).unwrap();
         let a = audit(&op).unwrap();
         assert_eq!(a.free_extents, 1);
         assert_eq!(a.free_bytes, layout.huge_data_size());
@@ -651,7 +550,7 @@ mod tests {
     fn alloc_free_roundtrip_splits_and_coalesces() {
         let (dev, layout) = setup();
         let ctx = HugeCtx { dev: &dev, layout: &layout };
-        let op = HugeOp::unguarded(ctx).unwrap();
+        let op = HugeTx::unguarded(ctx).unwrap();
         let a = alloc(&op, 1 << 20, None).unwrap();
         let b = alloc(&op, (1 << 20) + 1, None).unwrap();
         assert_eq!(a, 0, "first fit starts at the lowest offset");
@@ -671,7 +570,7 @@ mod tests {
     fn first_fit_reuses_the_lowest_hole() {
         let (dev, layout) = setup();
         let ctx = HugeCtx { dev: &dev, layout: &layout };
-        let op = HugeOp::unguarded(ctx).unwrap();
+        let op = HugeTx::unguarded(ctx).unwrap();
         let a = alloc(&op, 4 << 20, None).unwrap();
         let _b = alloc(&op, 1 << 20, None).unwrap();
         free(&op, a).unwrap();
@@ -684,7 +583,7 @@ mod tests {
     fn double_and_invalid_frees_are_rejected() {
         let (dev, layout) = setup();
         let ctx = HugeCtx { dev: &dev, layout: &layout };
-        let op = HugeOp::unguarded(ctx).unwrap();
+        let op = HugeTx::unguarded(ctx).unwrap();
         let a = alloc(&op, 1 << 20, None).unwrap();
         assert!(matches!(free(&op, a + PAGE_SIZE), Err(PoseidonError::InvalidFree { .. })));
         free(&op, a).unwrap();
@@ -696,7 +595,7 @@ mod tests {
     fn exhaustion_reports_the_largest_free_extent() {
         let (dev, layout) = setup();
         let ctx = HugeCtx { dev: &dev, layout: &layout };
-        let op = HugeOp::unguarded(ctx).unwrap();
+        let op = HugeTx::unguarded(ctx).unwrap();
         let _a = alloc(&op, layout.huge_data_size() / 2, None).unwrap();
         let before = audit(&op).unwrap();
         let err = alloc(&op, layout.huge_data_size(), None).unwrap_err();
@@ -714,7 +613,7 @@ mod tests {
     fn zero_size_is_rejected() {
         let (dev, layout) = setup();
         let ctx = HugeCtx { dev: &dev, layout: &layout };
-        let op = HugeOp::unguarded(ctx).unwrap();
+        let op = HugeTx::unguarded(ctx).unwrap();
         assert!(matches!(alloc(&op, 0, None), Err(PoseidonError::ZeroSize)));
     }
 
@@ -728,7 +627,7 @@ mod tests {
         let target = 1u64 << 20; // where the swept 2 MiB extent lands
         {
             // A 1 MiB anchor at offset 0 keeps the swept extent interior.
-            let op = HugeOp::unguarded(ctx).unwrap();
+            let op = HugeTx::unguarded(ctx).unwrap();
             assert_eq!(alloc(&op, 1 << 20, None).unwrap(), 0);
         }
         for stage in ["alloc", "free"] {
@@ -740,7 +639,7 @@ mod tests {
                 {
                     // Reset to the stage's pre-image (crash may have left
                     // either the old or the new state behind).
-                    let op = HugeOp::unguarded(ctx).unwrap();
+                    let op = HugeTx::unguarded(ctx).unwrap();
                     let live = lookup(&op, target).unwrap().filter(|r| r.state == state::ALLOC);
                     match (stage, live) {
                         ("alloc", Some(_)) => {
@@ -754,7 +653,7 @@ mod tests {
                 }
                 dev.arm_crash_after(k);
                 let result = {
-                    let op = HugeOp::unguarded(ctx).unwrap();
+                    let op = HugeTx::unguarded(ctx).unwrap();
                     if stage == "alloc" {
                         alloc(&op, 2 << 20, None).map(|_| ())
                     } else {
@@ -763,7 +662,7 @@ mod tests {
                 };
                 dev.simulate_crash(CrashMode::Strict, k);
                 crate::undo::replay(&dev, ctx.undo_area()).unwrap();
-                let op = HugeOp::unguarded(ctx).unwrap();
+                let op = HugeTx::unguarded(ctx).unwrap();
                 let a = audit(&op).unwrap();
                 assert_eq!(
                     a.free_bytes + a.alloc_bytes + a.quarantined_bytes,
@@ -779,7 +678,7 @@ mod tests {
             assert!(k > 3, "sweep must cover interior crash points, swept only {k}");
         }
         // Both stages done (free completed last): only the anchor remains.
-        let op = HugeOp::unguarded(ctx).unwrap();
+        let op = HugeTx::unguarded(ctx).unwrap();
         free(&op, 0).unwrap();
         let a = audit(&op).unwrap();
         assert_eq!(a.free_extents, 1);
@@ -790,7 +689,7 @@ mod tests {
     fn table_full_when_no_slot_for_the_split() {
         let (dev, layout) = setup();
         let ctx = HugeCtx { dev: &dev, layout: &layout };
-        let op = HugeOp::unguarded(ctx).unwrap();
+        let op = HugeTx::unguarded(ctx).unwrap();
         // Fill every slot: the region tiles into HUGE_EXTENT_SLOTS
         // single-page ALLOC extents is too slow; instead, synthesize a
         // full table directly (alternating ALLOC extents with one FREE
@@ -819,7 +718,7 @@ mod tests {
     fn poisoned_extent_is_quarantined_on_free() {
         let (dev, layout) = setup();
         let ctx = HugeCtx { dev: &dev, layout: &layout };
-        let op = HugeOp::unguarded(ctx).unwrap();
+        let op = HugeTx::unguarded(ctx).unwrap();
         let a = alloc(&op, 1 << 20, None).unwrap();
         dev.poison(layout.huge_phys_of(a, 1 << 20).unwrap() + 64, 128).unwrap();
         assert_eq!(free(&op, a).unwrap(), 1 << 20);
@@ -836,7 +735,7 @@ mod tests {
     fn quarantine_poisoned_splits_free_extents_page_granularly() {
         let (dev, layout) = setup();
         let ctx = HugeCtx { dev: &dev, layout: &layout };
-        let op = HugeOp::unguarded(ctx).unwrap();
+        let op = HugeTx::unguarded(ctx).unwrap();
         // Poison one line in the middle of the (single, free) region.
         let at = layout.huge_phys_of(8 * PAGE_SIZE, PAGE_SIZE).unwrap() + 256;
         dev.poison(at, 64).unwrap();
@@ -870,12 +769,12 @@ mod tests {
         layout.push_epoch(epoch).unwrap();
         let ctx = HugeCtx { dev: &dev, layout: &layout };
         {
-            let op = HugeOp::unguarded(ctx).unwrap();
+            let op = HugeTx::unguarded(ctx).unwrap();
             assert_eq!(extend_to_layout(&op).unwrap(), epoch.huge_size);
             assert_eq!(extend_to_layout(&op).unwrap(), 0, "second run is a no-op");
         }
         validate(&ctx).unwrap();
-        let op = HugeOp::unguarded(ctx).unwrap();
+        let op = HugeTx::unguarded(ctx).unwrap();
         let a = audit(&op).unwrap();
         assert_eq!(a.free_bytes, layout.huge_data_size());
         assert_eq!(a.free_extents, 2, "band-wall neighbours stay uncoalesced");

@@ -12,10 +12,10 @@
 use crate::error::{PoseidonError, Result};
 use crate::layout::{MICRO_LOG_CAPACITY, MICRO_SLOTS};
 use crate::nvmptr::NvmPtr;
-use crate::session::{OpSession, UndoScope};
+use crate::session::{SubTx, UndoScope};
 
 /// Number of pointers currently logged in `slot`.
-pub(crate) fn count(op: &OpSession<'_>, slot: usize) -> Result<u64> {
+pub(crate) fn count(op: &SubTx<'_>, slot: usize) -> Result<u64> {
     op.read_pod(op.ctx.micro_count_off(slot))
 }
 
@@ -24,12 +24,7 @@ pub(crate) fn count(op: &OpSession<'_>, slot: usize) -> Result<u64> {
 /// # Errors
 ///
 /// [`PoseidonError::TxTooLarge`] if the slot is full.
-pub(crate) fn append(
-    op: &OpSession<'_>,
-    scope: &mut UndoScope<'_, '_>,
-    slot: usize,
-    ptr: NvmPtr,
-) -> Result<()> {
+pub(crate) fn append(op: &SubTx<'_>, scope: &mut UndoScope<'_, '_>, slot: usize, ptr: NvmPtr) -> Result<()> {
     let n = count(op, slot)?;
     if n as usize >= MICRO_LOG_CAPACITY {
         return Err(PoseidonError::TxTooLarge { max: MICRO_LOG_CAPACITY });
@@ -40,29 +35,19 @@ pub(crate) fn append(
 
 /// Truncates `slot` — the transaction's commit point. A single 8-byte
 /// persisted store, hence atomic, and local to this transaction.
-pub(crate) fn truncate(op: &OpSession<'_>, slot: usize) -> Result<()> {
+pub(crate) fn truncate(op: &SubTx<'_>, slot: usize) -> Result<()> {
     op.view().write_pod(op.ctx.micro_count_off(slot), &0u64)?;
     op.view().persist(op.ctx.micro_count_off(slot), 8)?;
     Ok(())
 }
 
 /// Reads all logged pointers of `slot` (for recovery/abort).
-pub(crate) fn entries(op: &OpSession<'_>, slot: usize) -> Result<Vec<NvmPtr>> {
+pub(crate) fn entries(op: &SubTx<'_>, slot: usize) -> Result<Vec<NvmPtr>> {
     let n = count(op, slot)?;
     if n as usize > MICRO_LOG_CAPACITY {
         return Err(PoseidonError::Corrupted("micro log count beyond capacity"));
     }
     (0..n).map(|i| op.read_pod(op.ctx.micro_entry_off(slot, i))).collect()
-}
-
-/// Device-backed twin of [`entries`] for the offline repair pass, which
-/// deliberately runs without a session (see `repair.rs`).
-pub(crate) fn entries_direct(ctx: &crate::persist::SubCtx<'_>, slot: usize) -> Result<Vec<NvmPtr>> {
-    let n: u64 = ctx.dev.read_pod(ctx.micro_count_off(slot))?;
-    if n as usize > MICRO_LOG_CAPACITY {
-        return Err(PoseidonError::Corrupted("micro log count beyond capacity"));
-    }
-    (0..n).map(|i| Ok(ctx.dev.read_pod(ctx.micro_entry_off(slot, i))?)).collect()
 }
 
 /// Iterates every slot (for recovery).
@@ -86,7 +71,7 @@ mod tests {
     #[test]
     fn append_read_truncate_per_slot() {
         let (dev, layout) = setup();
-        let op = OpSession::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
+        let op = SubTx::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
         let mut s = op.undo().unwrap();
         append(&op, &mut s, 3, NvmPtr::new(9, 0, 64)).unwrap();
         append(&op, &mut s, 3, NvmPtr::new(9, 0, 128)).unwrap();
@@ -104,7 +89,7 @@ mod tests {
     #[test]
     fn aborted_scope_reverts_appends() {
         let (dev, layout) = setup();
-        let op = OpSession::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
+        let op = SubTx::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
         let mut s = op.undo().unwrap();
         append(&op, &mut s, 0, NvmPtr::new(9, 0, 64)).unwrap();
         s.abort().unwrap();
@@ -114,7 +99,7 @@ mod tests {
     #[test]
     fn capacity_is_enforced() {
         let (dev, layout) = setup();
-        let op = OpSession::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
+        let op = SubTx::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
         dev.write_pod(op.ctx.micro_count_off(5), &(MICRO_LOG_CAPACITY as u64)).unwrap();
         let mut s = op.undo().unwrap();
         let r = append(&op, &mut s, 5, NvmPtr::new(9, 0, 64));
@@ -125,7 +110,7 @@ mod tests {
     #[test]
     fn corrupt_count_is_detected() {
         let (dev, layout) = setup();
-        let op = OpSession::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
+        let op = SubTx::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
         dev.write_pod(op.ctx.micro_count_off(2), &u64::MAX).unwrap();
         assert!(matches!(entries(&op, 2), Err(PoseidonError::Corrupted(_))));
     }

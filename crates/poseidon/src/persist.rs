@@ -315,6 +315,13 @@ impl<'a> HugeCtx<'a> {
     }
 }
 
+/// Context for the superblock area: the device alone — the superblock's
+/// offsets are fixed (the `SB_*` constants in `layout`).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SbCtx<'a> {
+    pub dev: &'a PmemDevice,
+}
+
 /// Borrowed context for operating on one sub-heap: the device, the heap
 /// geometry, and the sub-heap index. All sub-heap modules (hash table,
 /// buddy lists, defragmentation, logs) work through this.
@@ -391,12 +398,6 @@ impl<'a> SubCtx<'a> {
     #[inline]
     pub fn micro_entry_off(&self, slot: usize, index: u64) -> u64 {
         self.micro_count_off(slot) + 16 + index * 16
-    }
-
-    /// Reads this sub-heap's header.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn header(&self) -> Result<SubheapHeader> {
-        Ok(self.dev.read_pod(self.meta_base())?)
     }
 
     /// Reads the number of active hash-table levels.

@@ -29,7 +29,7 @@ use crate::buddy;
 use crate::error::Result;
 use crate::layout::{ENTRY_SIZE, MAX_LEVELS};
 use crate::persist::{state, FLAG_CACHED};
-use crate::session::OpSession;
+use crate::session::SubTx;
 
 /// Whether any of `ranges` overlaps `[offset, offset + len)`.
 pub(crate) fn overlaps_any(ranges: &[PoisonRange], offset: u64, len: u64) -> bool {
@@ -51,7 +51,7 @@ pub(crate) fn overlaps_any(ranges: &[PoisonRange], offset: u64, len: u64) -> boo
 /// live healing path drains the cache back to the free lists *before*
 /// calling this, so only blocks checked out to the application (whose
 /// poison surfaces as a typed read error) stay flagged.
-pub(crate) fn isolate_poisoned_free_blocks(op: &OpSession<'_>, poison: &[PoisonRange]) -> Result<(u64, u64)> {
+pub(crate) fn isolate_poisoned_free_blocks(op: &SubTx<'_>, poison: &[PoisonRange]) -> Result<(u64, u64)> {
     if poison.is_empty() {
         return Ok((0, 0));
     }
@@ -102,7 +102,7 @@ mod tests {
     #[test]
     fn poisoned_free_block_is_withdrawn_and_never_reallocated() {
         let (dev, layout) = setup();
-        let op = OpSession::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
+        let op = SubTx::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
         subheap::create(&op, 0).unwrap();
         // Allocate then free a small block so a specific free record
         // exists, then poison one line inside it.
@@ -131,7 +131,7 @@ mod tests {
     #[test]
     fn clean_device_is_a_cheap_no_op() {
         let (dev, layout) = setup();
-        let op = OpSession::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
+        let op = SubTx::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
         subheap::create(&op, 0).unwrap();
         assert_eq!(isolate_poisoned_free_blocks(&op, &dev.scrub()).unwrap(), (0, 0));
     }

@@ -19,8 +19,8 @@
 //! rebuilds its metadata) and the rest of the heap loads normally.
 //!
 //! The undo replay itself stays *device-backed* (it must work before any
-//! session state exists); everything after it runs through one
-//! [`OpSession`] per sub-heap, so the whole salvage of a sub-heap costs a
+//! transaction exists); everything after it runs through one
+//! [`SubTx`] per sub-heap, so the whole salvage of a sub-heap costs a
 //! single metadata-range validation.
 
 use pmem::PmemDevice;
@@ -31,7 +31,7 @@ use crate::layout::HeapLayout;
 use crate::microlog;
 use crate::persist::{HugeCtx, SubCtx};
 use crate::quarantine;
-use crate::session::OpSession;
+use crate::session::{HugeTx, SubTx};
 use crate::subheap;
 use crate::superblock;
 use crate::undo;
@@ -124,7 +124,7 @@ pub(crate) fn recover(dev: &PmemDevice, layout: &HeapLayout) -> Result<(Recovery
         match salvage {
             Ok(()) => {
                 huge_ok = true;
-                let op = hugeregion::HugeOp::unguarded(HugeCtx { dev, layout })?;
+                let op = HugeTx::unguarded(HugeCtx { dev, layout })?;
                 // A crash between a grow's epoch commit and its huge-band
                 // bookkeeping leaves the committed layout ahead of the
                 // extent table; finish the (idempotent) completion here so
@@ -172,14 +172,14 @@ pub(crate) fn recover(dev: &PmemDevice, layout: &HeapLayout) -> Result<(Recovery
             continue;
         }
         let meta_poisoned = quarantine::overlaps_any(&poison, ctx.meta_base(), layout.meta_size);
-        // One session per sub-heap: the metadata range is validated once
+        // One transaction per sub-heap: the metadata range is validated once
         // and every replay/quarantine word access below goes through it.
         let salvage = if meta_poisoned {
             // Don't even try: metadata reads could fail at any later
             // operation, and a half-replayed log is worse than none.
             Err(PoseidonError::MediaError { offset: ctx.meta_base(), during: OpKind::Recovery })
         } else {
-            OpSession::unguarded(ctx).and_then(|op| {
+            SubTx::unguarded(ctx).and_then(|op| {
                 recover_sub(&op, huge_ok, &mut report)?;
                 Ok(op)
             })
@@ -203,10 +203,10 @@ pub(crate) fn recover(dev: &PmemDevice, layout: &HeapLayout) -> Result<(Recovery
 /// Replays one sub-heap's undo and micro logs. `huge_ok` says whether
 /// the huge region was salvaged, i.e. whether micro-log entries carrying
 /// the [`HUGE_SUBHEAP`] sentinel can be freed through it.
-fn recover_sub(op: &OpSession<'_>, huge_ok: bool, report: &mut RecoveryReport) -> Result<()> {
+fn recover_sub(op: &SubTx<'_>, huge_ok: bool, report: &mut RecoveryReport) -> Result<()> {
     // The undo replay reads the log directly from the device: it is the
     // recovery oracle and must see exactly the persisted bytes, with no
-    // session state in between.
+    // transaction state in between.
     if undo::replay(op.ctx.dev, op.ctx.undo_area())? {
         report.subheap_undos_replayed += 1;
     }
@@ -228,7 +228,7 @@ fn recover_sub(op: &OpSession<'_>, huge_ok: bool, report: &mut RecoveryReport) -
                 // --repair` rebuilds the table.
                 if huge_ok {
                     let hctx = HugeCtx { dev: op.ctx.dev, layout: op.ctx.layout };
-                    let hop = hugeregion::HugeOp::unguarded(hctx)?;
+                    let hop = HugeTx::unguarded(hctx)?;
                     match hugeregion::free(&hop, ptr.offset()) {
                         Ok(_) => report.tx_allocations_reverted += 1,
                         // Same idempotence rule as below: an earlier,

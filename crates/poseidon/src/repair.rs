@@ -53,7 +53,7 @@
 //! bad lines keep failing with the typed error until the operator clears
 //! them.
 //!
-//! Repair runs no undo sessions of its own — every write is direct — so
+//! Repair opens no undo scopes of its own — every write is direct — so
 //! it is idempotent by re-execution: a crash mid-repair is handled by
 //! simply running repair again. It must run *offline* (no heap open on
 //! the device; an open heap's MPK tags would fault the writes). Records
@@ -75,6 +75,7 @@ use crate::persist::{
     SUBHEAP_MAGIC,
 };
 use crate::quarantine;
+use crate::session::SubTx;
 use crate::superblock;
 use crate::undo;
 
@@ -313,12 +314,15 @@ fn repair_sub(dev: &PmemDevice, layout: &HeapLayout, sub: u16, report: &mut Repa
     // The replay may have restored a micro-log count we just reset (the
     // interrupted operation logged it); reset again, and discard any slot
     // whose surviving entries contain a null pointer — freeing "pointer
-    // zero" on load would hit whatever block lives at offset 0.
+    // zero" on load would hit whatever block lives at offset 0. Every
+    // metadata line of the sub-heap is scrubbed by now, so a transaction
+    // maps it.
     for &slot in &reset_slots {
         dev.write_pod(ctx.micro_count_off(slot), &0u64)?;
     }
+    let tx = SubTx::unguarded(ctx)?;
     for slot in microlog::all_slots() {
-        let pending = match microlog::entries_direct(&ctx, slot) {
+        let pending = match microlog::entries(&tx, slot) {
             Ok(p) => p,
             Err(PoseidonError::Corrupted(_)) => {
                 dev.write_pod(ctx.micro_count_off(slot), &0u64)?;
@@ -689,10 +693,10 @@ mod tests {
         (dev, live)
     }
 
-    /// Audits one sub-heap through a throwaway session (the heap is
+    /// Audits one sub-heap through a throwaway transaction (the heap is
     /// closed, so its pages carry no protection key).
     fn audit_sub(dev: &Arc<PmemDevice>, layout: &HeapLayout, sub: u16) -> subheap::SubheapAudit {
-        let op = crate::session::OpSession::unguarded(SubCtx { dev, layout, sub }).unwrap();
+        let op = SubTx::unguarded(SubCtx { dev, layout, sub }).unwrap();
         subheap::audit(&op).unwrap()
     }
 
@@ -808,8 +812,8 @@ mod tests {
 
         let report = repair(&dev).unwrap();
         assert_eq!(report.headers_rebuilt, 1);
-        let ctx = SubCtx { dev: &dev, layout: &layout, sub: 1 };
-        assert_eq!(ctx.header().unwrap().magic, SUBHEAP_MAGIC);
+        let header: SubheapHeader = dev.read_pod(layout.meta_base(1)).unwrap();
+        assert_eq!(header.magic, SUBHEAP_MAGIC);
         audit_sub(&dev, &layout, 1);
 
         let heap = reload_and_audit(&dev);

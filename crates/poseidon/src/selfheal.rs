@@ -250,12 +250,10 @@ impl PoseidonHeap {
         }
         self.health.subheaps_condemned.fetch_add(1, Ordering::Relaxed);
         // Persist the verdict. Best-effort by design: if the superblock
-        // undo area is itself damaged this returns the error, but the
+        // region is itself damaged this returns the error, but the
         // volatile flag above already isolates the sub-heap for this
         // session, and the metadata poison re-quarantines it on reload.
-        let _guard = self.write_guard();
-        let _sb = self.sb_lock.lock();
-        superblock::quarantine_subheap(&self.dev, sub)?;
+        superblock::quarantine_subheap(&self.begin_sb(self.sb_lock.lock())?, sub)?;
         Ok(true)
     }
 
@@ -263,7 +261,7 @@ impl PoseidonHeap {
     /// currently poisoned lines (block granularity, persistent records).
     ///
     /// The sub-heap's transient cache is drained back to the free lists
-    /// first, under the same op session, so a poisoned block sitting in a
+    /// first, under the same transaction, so a poisoned block sitting in a
     /// magazine or transfer pool becomes a plain `FREE` record the
     /// isolation walk can withdraw — the lock held across both steps
     /// means no refill can re-withdraw it in between. Blocks checked out

@@ -4,7 +4,7 @@
 //! table) and a user region. It is created lazily when the first
 //! allocation happens on its CPU, seeded with the maximal power-of-two
 //! decomposition of its user region, and placed on that CPU's NUMA node.
-//! All mutation goes through the caller's [`OpSession`] — the session
+//! All mutation goes through the caller's [`SubTx`] — the transaction
 //! owns the sub-heap lock, the MPK write guard, and the *single* mapped
 //! metadata view every word access goes through.
 
@@ -14,13 +14,13 @@ use crate::error::{PoseidonError, Result};
 use crate::hashtable;
 use crate::layout::{class_size, MIN_BLOCK, NUM_CLASSES, SH_UNDO_OFF};
 use crate::persist::{state, HashEntry, SubheapHeader, FLAG_CACHED, SUBHEAP_MAGIC};
-use crate::session::{OpSession, UndoScope};
+use crate::session::{SubTx, UndoScope};
 
 /// Initialises (or re-initialises, after a creation that crashed before
 /// its directory entry was published) the sub-heap's metadata and seeds
 /// its buddy lists. The caller persists the directory entry afterwards;
 /// until then the sub-heap is not live.
-pub(crate) fn create(op: &OpSession<'_>, node: u32) -> Result<()> {
+pub(crate) fn create(op: &SubTx<'_>, node: u32) -> Result<()> {
     let meta = op.ctx.meta_base();
     // Scrub: zero the header/array page(s) and return the log + table
     // space to the device (clears residue from an interrupted creation).
@@ -73,7 +73,7 @@ fn prev_power_of_two(x: u64) -> u64 {
 /// slot))`: the allocated pointer is appended to the transaction's
 /// micro-log slot *inside the same undo scope*, so a crash can never
 /// separate the allocation from its log record.
-pub(crate) fn alloc_block(op: &OpSession<'_>, class: usize, micro: Option<(u64, usize)>) -> Result<u64> {
+pub(crate) fn alloc_block(op: &SubTx<'_>, class: usize, micro: Option<(u64, usize)>) -> Result<u64> {
     debug_assert!(class < NUM_CLASSES);
     for attempt in 0..3 {
         let from = match buddy::first_class_at_least(op, class)? {
@@ -113,7 +113,7 @@ pub(crate) fn alloc_block(op: &OpSession<'_>, class: usize, micro: Option<(u64, 
 /// `want`, marks the final block allocated. Any failure (including
 /// hash-table exhaustion mid-split) rolls the scope back.
 fn try_alloc(
-    op: &OpSession<'_>,
+    op: &SubTx<'_>,
     from: usize,
     want: usize,
     allow_activate: bool,
@@ -168,7 +168,7 @@ enum RefillAttempt {
 /// possibly fewer than `want` (free-space or undo-log pressure), possibly
 /// none (the caller then falls back to the uncached slow path, which can
 /// also defragment and activate levels).
-pub(crate) fn refill_blocks(op: &OpSession<'_>, class: usize, want: usize) -> Result<Vec<u64>> {
+pub(crate) fn refill_blocks(op: &SubTx<'_>, class: usize, want: usize) -> Result<Vec<u64>> {
     debug_assert!(class < NUM_CLASSES);
     let mut target = want;
     loop {
@@ -184,7 +184,7 @@ pub(crate) fn refill_blocks(op: &OpSession<'_>, class: usize, want: usize) -> Re
 /// free-space or undo-log pressure (committing what fit); a carve that
 /// errors *mid-split* dirties the scope, so the whole attempt aborts and
 /// reports how many carves are safe to redo.
-fn try_refill(op: &OpSession<'_>, class: usize, want: usize) -> Result<RefillAttempt> {
+fn try_refill(op: &SubTx<'_>, class: usize, want: usize) -> Result<RefillAttempt> {
     let mut scope = op.undo()?;
     let mut offsets = Vec::with_capacity(want);
     while offsets.len() < want {
@@ -215,7 +215,7 @@ fn try_refill(op: &OpSession<'_>, class: usize, want: usize) -> Result<RefillAtt
 /// Pops the head of class `from`, splits down to `want`, and stamps the
 /// final block `FREE | FLAG_CACHED` with cleared links — withdrawn from
 /// its free list but still free on media. Runs inside the caller's scope.
-fn carve_cached(op: &OpSession<'_>, scope: &mut UndoScope<'_, '_>, from: usize, want: usize) -> Result<u64> {
+fn carve_cached(op: &SubTx<'_>, scope: &mut UndoScope<'_, '_>, from: usize, want: usize) -> Result<u64> {
     let head_off = buddy::head(op, from)?;
     if head_off == 0 {
         return Err(PoseidonError::Corrupted("free list emptied under the sub-heap lock"));
@@ -242,7 +242,7 @@ fn carve_cached(op: &OpSession<'_>, scope: &mut UndoScope<'_, '_>, from: usize, 
 /// Looks up the record of a cache-managed block and validates its
 /// persistent state (`FREE | FLAG_CACHED` — the invariant the cache layer
 /// maintains by construction).
-fn cached_record(op: &OpSession<'_>, offset: u64) -> Result<(u64, HashEntry)> {
+fn cached_record(op: &SubTx<'_>, offset: u64) -> Result<(u64, HashEntry)> {
     let Some((rec_off, rec)) = hashtable::lookup(op, offset)? else {
         return Err(PoseidonError::Corrupted("cache-managed block has no record"));
     };
@@ -257,7 +257,7 @@ fn cached_record(op: &OpSession<'_>, offset: u64) -> Result<(u64, HashEntry)> {
 /// batching as many as fit per two-fence commit. Blocks whose user bytes
 /// picked up media poison while cached are quarantined instead, exactly
 /// like a slow-path free; the count of such blocks is returned.
-pub(crate) fn drain_blocks(op: &OpSession<'_>, offsets: &[u64]) -> Result<u64> {
+pub(crate) fn drain_blocks(op: &SubTx<'_>, offsets: &[u64]) -> Result<u64> {
     let mut quarantined = 0u64;
     let mut scope = op.undo()?;
     for &offset in offsets {
@@ -285,7 +285,7 @@ pub(crate) fn drain_blocks(op: &OpSession<'_>, offsets: &[u64]) -> Result<u64> {
 /// allocated: state `ALLOC`, flag cleared — the durability hand-off run
 /// when the application makes cached allocations reachable (`set_root`)
 /// or on clean close. Batches as many as fit per two-fence commit.
-pub(crate) fn publish_blocks(op: &OpSession<'_>, offsets: &[u64]) -> Result<()> {
+pub(crate) fn publish_blocks(op: &SubTx<'_>, offsets: &[u64]) -> Result<()> {
     let mut scope = op.undo()?;
     for &offset in offsets {
         if !scope.has_room_for(2 * 96) {
@@ -310,7 +310,7 @@ pub(crate) fn publish_blocks(op: &OpSession<'_>, offsets: &[u64]) -> Result<()> 
 /// is the documented crash contract. Idempotent: a crash mid-pass leaves
 /// a strict subset flagged and the next load finishes the job. Returns
 /// the number of blocks relinked.
-pub(crate) fn reclaim_cached(op: &OpSession<'_>) -> Result<u64> {
+pub(crate) fn reclaim_cached(op: &SubTx<'_>) -> Result<u64> {
     let active = (op.active_levels()? as usize).min(crate::layout::MAX_LEVELS);
     let mut reclaimed = 0u64;
     let mut scope = op.undo()?;
@@ -355,7 +355,7 @@ pub(crate) struct FreeOutcome {
 /// quarantined instead of returned to its free list, so the media error
 /// can never be handed to a future allocation. Returns the freed block's
 /// size and whether it was quarantined.
-pub(crate) fn free_block(op: &OpSession<'_>, offset: u64) -> Result<FreeOutcome> {
+pub(crate) fn free_block(op: &SubTx<'_>, offset: u64) -> Result<FreeOutcome> {
     let Some((rec_off, mut rec)) = hashtable::lookup(op, offset)? else {
         return Err(PoseidonError::InvalidFree { offset });
     };
@@ -469,10 +469,7 @@ pub enum CacheResidency {
 /// # Errors
 ///
 /// [`PoseidonError::Corrupted`] describing the first violated invariant.
-pub(crate) fn audit_with(
-    op: &OpSession<'_>,
-    residency: impl Fn(u64) -> CacheResidency,
-) -> Result<SubheapAudit> {
+pub(crate) fn audit_with(op: &SubTx<'_>, residency: impl Fn(u64) -> CacheResidency) -> Result<SubheapAudit> {
     use std::collections::{BTreeMap, HashSet};
     let active = op.active_levels()? as usize;
     let mut by_offset: BTreeMap<u64, HashEntry> = BTreeMap::new();
@@ -595,7 +592,7 @@ pub(crate) fn audit_with(
 
 /// [`audit_with`] for contexts with no live cache (module tests, offline
 /// repair): any cache-flagged record is a corruption.
-pub(crate) fn audit(op: &OpSession<'_>) -> Result<SubheapAudit> {
+pub(crate) fn audit(op: &SubTx<'_>) -> Result<SubheapAudit> {
     audit_with(op, |_| CacheResidency::None)
 }
 
@@ -612,8 +609,8 @@ mod tests {
         (dev, layout)
     }
 
-    fn op_for<'a>(dev: &'a PmemDevice, layout: &'a HeapLayout) -> OpSession<'a> {
-        OpSession::unguarded(SubCtx { dev, layout, sub: 0 }).unwrap()
+    fn op_for<'a>(dev: &'a PmemDevice, layout: &'a HeapLayout) -> SubTx<'a> {
+        SubTx::unguarded(SubCtx { dev, layout, sub: 0 }).unwrap()
     }
 
     #[test]
@@ -638,7 +635,7 @@ mod tests {
         create(&op, 1).unwrap();
         let a = audit(&op).unwrap();
         assert_eq!(a.alloc_bytes, 0);
-        assert_eq!(op.header().unwrap().node, 1);
+        assert_eq!(op.read_pod::<SubheapHeader>(op.ctx.meta_base()).unwrap().node, 1);
     }
 
     #[test]
@@ -765,8 +762,8 @@ mod tests {
         create(&op, 0).unwrap();
         let before = audit(&op).unwrap();
         let (class, size) = class_for_size(64).unwrap();
-        // The session's view buffers fence counts until it drops; give the
-        // refill its own session so the device stats reflect exactly it.
+        // The transaction's view buffers fence counts until it drops; give
+        // the refill its own transaction so the device stats reflect exactly it.
         drop(op);
 
         let fences0 = dev.stats().sfence_count;

@@ -11,7 +11,8 @@ use crate::persist::{
     DirEntry, EpochRecord, SuperblockHeader, EPOCH_COMMITTED, EPOCH_EMPTY, FORMAT_VERSION, FORMAT_VERSION_V1,
     SUPERBLOCK_MAGIC,
 };
-use crate::undo::{self, UndoArea};
+use crate::session::SbTx;
+use crate::undo::UndoArea;
 
 /// Size of one on-device epoch record.
 const EPOCH_RECORD_SIZE: u64 = std::mem::size_of::<EpochRecord>() as u64;
@@ -49,15 +50,14 @@ pub(crate) fn epoch_record(dev: &PmemDevice, index: usize) -> Result<EpochRecord
 
 /// Durably commits epoch `index` of the chain: the record and the
 /// header's `epoch_count` are logged and written in **one** superblock
-/// undo transaction, whose two-fence commit is the single commit point
-/// of an online growth — a crash before it reverts both together, a
-/// crash after it leaves the epoch fully described. Caller holds the
-/// superblock lock and the MPK write guard.
-pub(crate) fn commit_epoch(dev: &PmemDevice, index: usize, epoch: &Epoch) -> Result<()> {
-    let mut session = undo::UndoSession::begin_recovering(dev, undo_area())?;
-    session.log_and_write_pod(epoch_record_off(index), &EpochRecord::from_epoch(epoch))?;
-    session.log_and_write_pod(epoch_count_off(), &(index as u32 + 1))?;
-    session.commit()
+/// undo scope, whose two-fence commit is the single commit point of an
+/// online growth — a crash before it reverts both together, a crash
+/// after it leaves the epoch fully described.
+pub(crate) fn commit_epoch(tx: &SbTx<'_>, index: usize, epoch: &Epoch) -> Result<()> {
+    let mut scope = tx.undo()?;
+    scope.log_and_write_pod(epoch_record_off(index), &EpochRecord::from_epoch(epoch))?;
+    scope.log_and_write_pod(epoch_count_off(), &(index as u32 + 1))?;
+    scope.commit()
 }
 
 /// The superblock's undo-log area.
@@ -282,37 +282,45 @@ pub(crate) fn root(dev: &PmemDevice) -> Result<NvmPtr> {
 
 /// Sets the root pointer through the superblock undo log (a 16-byte
 /// value cannot be stored atomically, §5.8 machinery covers it).
-/// Caller holds the superblock lock and the MPK write guard.
-pub(crate) fn set_root(dev: &PmemDevice, ptr: NvmPtr) -> Result<()> {
-    let mut session = undo::UndoSession::begin_recovering(dev, undo_area())?;
-    session.log_and_write_pod(root_off(), &ptr)?;
-    session.commit()
+pub(crate) fn set_root(tx: &SbTx<'_>, ptr: NvmPtr) -> Result<()> {
+    let mut scope = tx.undo()?;
+    scope.log_and_write_pod(root_off(), &ptr)?;
+    scope.commit()
 }
 
 /// Persistently condemns sub-heap `sub` after a live media fault: its
 /// directory entry flips to [`DIR_QUARANTINED`] under the superblock
 /// undo log's two-fence commit, so the verdict is crash-atomic and
-/// every future load sees the sub-heap as quarantined. Caller holds the
-/// superblock lock and the MPK write guard. Idempotent.
-pub(crate) fn quarantine_subheap(dev: &PmemDevice, sub: u16) -> Result<()> {
-    let entry = dir_entry(dev, sub)?;
+/// every future load sees the sub-heap as quarantined. Idempotent.
+pub(crate) fn quarantine_subheap(tx: &SbTx<'_>, sub: u16) -> Result<()> {
+    let entry: DirEntry = tx.read_pod(dir_entry_off(sub))?;
     if entry.state == DIR_QUARANTINED {
         return Ok(());
     }
-    let mut session = undo::UndoSession::begin_recovering(dev, undo_area())?;
-    session.log_and_write_pod(dir_entry_off(sub), &DirEntry { state: DIR_QUARANTINED, node: entry.node })?;
-    session.commit()
+    let mut scope = tx.undo()?;
+    scope.log_and_write_pod(dir_entry_off(sub), &DirEntry { state: DIR_QUARANTINED, node: entry.node })?;
+    scope.commit()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist::SbCtx;
+    use crate::undo;
+    use pmem::contention::TrackedMutex;
     use pmem::{CrashMode, DeviceConfig};
 
     fn setup() -> (PmemDevice, HeapLayout) {
         let dev = PmemDevice::new(DeviceConfig::new(64 << 20));
         let layout = HeapLayout::compute(64 << 20, 2).unwrap();
         (dev, layout)
+    }
+
+    /// Runs `f` in a superblock transaction guarded by a test-local lock.
+    fn with_tx<R>(dev: &PmemDevice, f: impl FnOnce(&SbTx<'_>) -> Result<R>) -> Result<R> {
+        let lock = TrackedMutex::new(());
+        let tx = SbTx::guarded(SbCtx { dev }, lock.lock(), None)?;
+        f(&tx)
     }
 
     #[test]
@@ -347,13 +355,13 @@ mod tests {
     fn root_set_is_crash_atomic() {
         let (dev, layout) = setup();
         create(&dev, &layout, 0xABCD).unwrap();
-        set_root(&dev, NvmPtr::new(0xABCD, 1, 64)).unwrap();
+        with_tx(&dev, |tx| set_root(tx, NvmPtr::new(0xABCD, 1, 64))).unwrap();
         assert_eq!(root(&dev).unwrap().offset(), 64);
 
         // Interrupt a second update mid-way; replay must restore the old
         // value, never expose a half-written pointer.
         dev.arm_crash_after(4);
-        let _ = set_root(&dev, NvmPtr::new(0xABCD, 0, 128));
+        let _ = with_tx(&dev, |tx| set_root(tx, NvmPtr::new(0xABCD, 0, 128)));
         dev.simulate_crash(CrashMode::Strict, 0);
         undo::replay(&dev, undo_area()).unwrap();
         let r = root(&dev).unwrap();
@@ -368,22 +376,53 @@ mod tests {
         let (dev, layout) = setup();
         create(&dev, &layout, 0xABCD).unwrap();
         publish_subheap(&dev, 1, DirEntry { state: 1, node: 7 }).unwrap();
-        quarantine_subheap(&dev, 1).unwrap();
+        with_tx(&dev, |tx| quarantine_subheap(tx, 1)).unwrap();
         let e = dir_entry(&dev, 1).unwrap();
         assert_eq!(e.state, DIR_QUARANTINED);
         assert_eq!(e.node, 7, "the NUMA node survives condemnation");
         // Idempotent: a second condemnation is a no-op, not an error.
-        quarantine_subheap(&dev, 1).unwrap();
+        with_tx(&dev, |tx| quarantine_subheap(tx, 1)).unwrap();
         assert_eq!(dir_entry(&dev, 1).unwrap().state, DIR_QUARANTINED);
 
         // Crash-atomic: interrupt a condemnation of sub-heap 0 mid-way;
         // after replay the entry is either fully old or fully new.
         dev.arm_crash_after(4);
-        let _ = quarantine_subheap(&dev, 0);
+        let _ = with_tx(&dev, |tx| quarantine_subheap(tx, 0));
         dev.simulate_crash(CrashMode::Strict, 0);
         undo::replay(&dev, undo_area()).unwrap();
         let e = dir_entry(&dev, 0).unwrap();
         assert!(e.state == 0 || e.state == DIR_QUARANTINED, "torn directory entry: {}", e.state);
+    }
+
+    #[test]
+    fn poisoned_superblock_line_fails_the_transaction_up_front() {
+        // The superblock transaction maps the whole region, so a poisoned
+        // line that `set_root` never touches (here: an unused directory
+        // line) fails it with the typed error before any store is issued.
+        let (dev, layout) = setup();
+        create(&dev, &layout, 0xABCD).unwrap();
+        let old = NvmPtr::new(0xABCD, 1, 64);
+        with_tx(&dev, |tx| set_root(tx, old)).unwrap();
+        let line = dir_entry_off(64);
+        dev.poison(line, 1).unwrap();
+        let before = dev.stats();
+        let r = with_tx(&dev, |tx| set_root(tx, NvmPtr::new(0xABCD, 0, 128)));
+        assert!(matches!(r, Err(PoseidonError::MediaError { .. })), "got {r:?}");
+        let after = dev.stats();
+        assert_eq!(after.write_ops, before.write_ops, "a store was issued");
+        assert_eq!(after.sfence_count, before.sfence_count, "a fence was issued");
+        // After a crash the root on media is the old one, with nothing to
+        // replay.
+        dev.simulate_crash(CrashMode::Strict, 0);
+        assert!(!undo::replay(&dev, undo_area()).unwrap());
+        assert_eq!(root(&dev).unwrap(), old);
+        // The log is not wedged: once the line is cleared the next
+        // `set_root` commits.
+        dev.clear_poison(line, 1).unwrap();
+        let new = NvmPtr::new(0xABCD, 0, 128);
+        with_tx(&dev, |tx| set_root(tx, new)).unwrap();
+        dev.simulate_crash(CrashMode::Strict, 0);
+        assert_eq!(root(&dev).unwrap(), new);
     }
 
     /// Rewinds a freshly created v2 image to what a v1 build would have
@@ -442,7 +481,7 @@ mod tests {
         // Grow the device and commit a second epoch.
         let epoch = layout.plan_growth(128 << 20).unwrap();
         dev.grow(128 << 20).unwrap();
-        commit_epoch(&dev, 1, &epoch).unwrap();
+        with_tx(&dev, |tx| commit_epoch(tx, 1, &epoch)).unwrap();
         let (header, loaded) = load(&dev).unwrap();
         assert_eq!(header.epoch_count, 2);
         assert_eq!(loaded.epoch_count(), 2);
@@ -457,7 +496,7 @@ mod tests {
         create(&dev, &layout, 0xABCD).unwrap();
         let epoch = layout.plan_growth(128 << 20).unwrap();
         dev.grow(128 << 20).unwrap();
-        commit_epoch(&dev, 1, &epoch).unwrap();
+        with_tx(&dev, |tx| commit_epoch(tx, 1, &epoch)).unwrap();
         layout.push_epoch(epoch).unwrap();
 
         // Simulate a tear the undo log cannot fix (it was lost to

@@ -1,18 +1,20 @@
-//! Undo logging (§4.5, §5.2) with batched persistence.
+//! Undo logging (§4.5, §5.2) with batched persistence: the on-device
+//! log format, the commit protocol it supports, and recovery replay.
 //!
-//! Every allocator operation mutates metadata inside an *undo session*:
-//! before a range is overwritten, its original bytes are appended to the
-//! undo-log area; the new bytes are **staged in DRAM** and only reach
-//! the device at commit, after a single fence has made every log entry
-//! of the operation durable. A crash at any point leaves either a
-//! committed operation or a log whose replay restores the exact pre-op
-//! state. Replay is idempotent — replaying twice (e.g. after a crash
-//! *during* recovery, §5.8) writes the same old bytes again.
+//! Every allocator operation mutates metadata inside an undo scope
+//! ([`UndoScope`], opened by a [`MetaTx`]): before a range is
+//! overwritten, its original bytes are appended to the area's undo log;
+//! the new bytes are **staged in DRAM** and only reach the device at
+//! commit, after a single fence has made every log entry of the
+//! operation durable. A crash at any point leaves either a committed
+//! operation or a log whose replay restores the exact pre-op state.
+//! Replay is idempotent — replaying twice (e.g. after a crash *during*
+//! recovery, §5.8) writes the same old bytes again.
 //!
 //! # The two-fence commit protocol
 //!
-//! The old implementation persisted each log entry eagerly — one
-//! `clwb`+`sfence` pair per [`log_and_write`](UndoSession::log_and_write)
+//! Persisting each log entry eagerly would cost one `clwb`+`sfence`
+//! pair per [`log_and_write`](crate::session::UndoScope::log_and_write)
 //! plus two more at commit, i.e. *N* + 2 serialising fences for an
 //! *N*-entry operation. The batched protocol pays a constant number:
 //!
@@ -27,7 +29,7 @@
 //! 3. The staged mutations are applied in order, their lines collected
 //!    in a second deduplicating batch, flushed, and **fence #2** issued.
 //! 4. The generation bump (one 8-byte persisted store, fence #3) is the
-//!    commit point, exactly as before.
+//!    commit point.
 //!
 //! Deferring the target stores — rather than merely deferring their
 //! flushes — is what makes the protocol sound under
@@ -54,14 +56,24 @@
 //! └──────────┴─────────────┴──────────┴───────────────┴───────────────┘
 //! ```
 //!
-//! Both log writers — the device-backed [`UndoSession`] here and the
-//! view-routed [`UndoScope`](crate::session::UndoScope) — share one
-//! implementation, [`LogCore`], parameterised over the [`LogAccess`]
-//! word-access trait, so the on-device format cannot silently fork.
+//! [`UndoScope`] is the only log writer, and it writes through its
+//! transaction's [`MetaView`]. Reading the log — [`read_entry`],
+//! [`apply_undo`] and [`replay`] — is generic over the small
+//! [`LogAccess`] word-access trait so it also runs on the raw
+//! [`PmemDevice`]. Replay stays **device-backed** on purpose: it runs
+//! before any transaction exists, must see exactly the persisted bytes,
+//! and `pfsck --repair` replays the superblock log *before* it scrubs the
+//! directory page — a view cannot be mapped over a range that still
+//! holds a poisoned line, while device reads fail only on the lines they
+//! touch. The crash-fuzz chain decoder (`fuzz::undo_chains`) reads the
+//! logs the same way.
+//!
+//! [`MetaTx`]: crate::session::MetaTx
+//! [`UndoScope`]: crate::session::UndoScope
 
 use pmem::{FlushBatch, MetaView, PmemDevice, PmemError};
 
-use crate::error::{PoseidonError, Result};
+use crate::error::Result;
 
 /// Location of one undo-log area and its persistent generation field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,22 +105,16 @@ pub(crate) fn checksum(gen: u64, target: u64, len: u64, old: &[u8]) -> u64 {
     hash | 1
 }
 
-/// Target mutations staged in DRAM until commit: `(target, new bytes)`
-/// in issue order.
-pub(crate) type StagedWrites = Vec<(u64, Vec<u8>)>;
-
-/// The word-access surface a log writer needs from its backing store —
-/// implemented by the raw [`PmemDevice`] and by [`MetaView`] (which
-/// routes through the session's single up-front validation). Everything
-/// format-bearing lives in [`LogCore`] and the free functions below, so
-/// both writers produce and parse byte-identical logs.
+/// The word-access surface log reading and rollback need from their
+/// backing store — implemented by the raw [`PmemDevice`] (recovery,
+/// repair, crash fuzzing) and by [`MetaView`] (an open scope's begin,
+/// commit and rollback, routed through its single up-front validation).
 pub(crate) trait LogAccess {
     fn read(&self, offset: u64, buf: &mut [u8]) -> std::result::Result<(), PmemError>;
     fn write(&self, offset: u64, buf: &[u8]) -> std::result::Result<(), PmemError>;
     fn flush_batch(&self, batch: &FlushBatch) -> std::result::Result<(), PmemError>;
     fn clwb(&self, offset: u64, len: u64) -> std::result::Result<(), PmemError>;
     fn sfence(&self) -> std::result::Result<(), PmemError>;
-    fn record_undo_append(&self, words: u64);
 
     fn read_pod<T: pmem::Pod>(&self, offset: u64) -> std::result::Result<T, PmemError> {
         let mut value = T::zeroed();
@@ -137,9 +143,6 @@ impl LogAccess for PmemDevice {
     fn sfence(&self) -> std::result::Result<(), PmemError> {
         PmemDevice::sfence(self)
     }
-    fn record_undo_append(&self, words: u64) {
-        PmemDevice::record_undo_append(self, words);
-    }
 }
 
 impl LogAccess for MetaView<'_> {
@@ -157,311 +160,6 @@ impl LogAccess for MetaView<'_> {
     }
     fn sfence(&self) -> std::result::Result<(), PmemError> {
         MetaView::sfence(self)
-    }
-    fn record_undo_append(&self, words: u64) {
-        self.device().record_undo_append(words);
-    }
-}
-
-/// Patches `buf` (covering `[offset, offset + buf.len())`) with every
-/// staged write that intersects it, in staging order — so readers see
-/// the operation's own not-yet-issued stores.
-pub(crate) fn overlay_patch(staged: &[(u64, Vec<u8>)], offset: u64, buf: &mut [u8]) {
-    let len = buf.len() as u64;
-    for (target, bytes) in staged {
-        let start = (*target).max(offset);
-        let end = (target + bytes.len() as u64).min(offset + len);
-        if start < end {
-            buf[(start - offset) as usize..(end - offset) as usize]
-                .copy_from_slice(&bytes[(start - target) as usize..(end - target) as usize]);
-        }
-    }
-}
-
-/// The shared log-writer state machine: entry construction, staging,
-/// the two-fence commit, and rollback. [`UndoSession`] (device-backed)
-/// and [`UndoScope`](crate::session::UndoScope) (view-routed) are thin
-/// wrappers pairing a `LogCore` with their backing [`LogAccess`] and
-/// staged-write vector.
-#[derive(Debug)]
-pub(crate) struct LogCore {
-    area: UndoArea,
-    gen: u64,
-    /// Bytes of the log area used so far this operation.
-    tail: u64,
-    /// Lines of the entries written so far, pending fence #1.
-    entry_batch: FlushBatch,
-    finished: bool,
-    /// Reusable entry buffer (header + old bytes).
-    buffer: Vec<u8>,
-}
-
-impl LogCore {
-    /// Opens a log writer on `area`. A log still holding live entries is
-    /// rejected outright: without knowing who owns the area, the entries
-    /// may belong to a *concurrently open* scope (a locking bug), and
-    /// rolling them back underneath it would corrupt that operation.
-    pub fn begin<A: LogAccess>(acc: &A, area: UndoArea) -> Result<LogCore> {
-        Self::begin_inner(acc, area, false)
-    }
-
-    /// As [`begin`](Self::begin), but a log still holding live entries is
-    /// first **re-driven**: the caller holds the area's lock, which rules
-    /// out a concurrent scope, so live entries can only be an earlier
-    /// rollback that died mid-flight (e.g. interrupted by a transient
-    /// media fault) — load-time replay run early. Only if that rollback
-    /// cannot complete does the area stay wedged.
-    pub fn begin_recovering<A: LogAccess>(acc: &A, area: UndoArea) -> Result<LogCore> {
-        Self::begin_inner(acc, area, true)
-    }
-
-    fn begin_inner<A: LogAccess>(acc: &A, area: UndoArea, recover: bool) -> Result<LogCore> {
-        let mut gen: u64 = acc.read_pod(area.gen_field)?;
-        if read_entry(acc, area, gen, 0)?.is_some() {
-            if !recover {
-                return Err(PoseidonError::Corrupted("undo log non-empty at operation start"));
-            }
-            apply_undo(acc, area, gen)?;
-            gen = acc.read_pod(area.gen_field)?;
-            if read_entry(acc, area, gen, 0)?.is_some() {
-                return Err(PoseidonError::Corrupted("undo log non-empty at operation start"));
-            }
-        }
-        Ok(LogCore {
-            area,
-            gen,
-            tail: 0,
-            entry_batch: FlushBatch::new(),
-            finished: false,
-            buffer: Vec::new(),
-        })
-    }
-
-    /// Whether one more entry logging `len` target bytes still fits in
-    /// the log area — batch operations consult this to stop cleanly
-    /// before [`log_and_write`](Self::log_and_write) would overflow.
-    pub fn has_room_for(&self, len: u64) -> bool {
-        self.tail + ENTRY_HEADER + len.next_multiple_of(8) <= self.area.size
-    }
-
-    /// Appends an entry logging the current (overlay-visible) content of
-    /// `[target, target + new.len())` and stages `new` for application
-    /// at commit. The entry write lands in cache now; nothing touches
-    /// the target until [`commit`](Self::commit).
-    pub fn log_and_write<A: LogAccess>(
-        &mut self,
-        acc: &A,
-        staged: &mut StagedWrites,
-        target: u64,
-        new: &[u8],
-    ) -> Result<()> {
-        let len = new.len() as u64;
-        let entry_len = ENTRY_HEADER + len.next_multiple_of(8);
-        if self.tail + entry_len > self.area.size {
-            return Err(PoseidonError::Corrupted("undo log overflow"));
-        }
-        let header = ENTRY_HEADER as usize;
-        self.buffer.clear();
-        self.buffer.resize(entry_len as usize, 0);
-        // The old image is read through the staged-write overlay: entry
-        // i's pre-image reflects staged writes 0..i, so reverse replay
-        // still lands every byte on the value of the *first* entry that
-        // covers it — the true pre-op state.
-        acc.read(target, &mut self.buffer[header..header + new.len()])?;
-        overlay_patch(staged, target, &mut self.buffer[header..header + new.len()]);
-        let sum = checksum(self.gen, target, len, &self.buffer[header..]);
-        self.buffer[0..8].copy_from_slice(&self.gen.to_le_bytes());
-        self.buffer[8..16].copy_from_slice(&target.to_le_bytes());
-        self.buffer[16..24].copy_from_slice(&len.to_le_bytes());
-        self.buffer[24..32].copy_from_slice(&sum.to_le_bytes());
-        let entry_off = self.area.base + self.tail;
-        acc.write(entry_off, &self.buffer)?;
-        self.entry_batch.note(entry_off, entry_len);
-        acc.record_undo_append(len.div_ceil(8));
-        self.tail += entry_len;
-        staged.push((target, new.to_vec()));
-        Ok(())
-    }
-
-    /// The two-fence commit described in the [module docs](self). An
-    /// operation that staged nothing returns without touching the
-    /// device — zero flushes, zero fences.
-    pub fn commit<A: LogAccess>(&mut self, acc: &A, staged: &mut StagedWrites) -> Result<()> {
-        if self.tail == 0 && staged.is_empty() {
-            self.finished = true;
-            return Ok(());
-        }
-        // Fence #1: every log entry durable before any target store is
-        // *issued* (required under adversarial eviction, see module docs).
-        acc.flush_batch(&self.entry_batch)?;
-        acc.sfence()?;
-        // Apply the staged mutations in order, deduplicating their lines.
-        let mut targets = FlushBatch::new();
-        for (target, bytes) in staged.iter() {
-            acc.write(*target, bytes)?;
-            targets.note(*target, bytes.len() as u64);
-        }
-        staged.clear();
-        // Fence #2: targets durable.
-        acc.flush_batch(&targets)?;
-        acc.sfence()?;
-        // Fence #3: invalidate the log — the commit point.
-        if self.tail > 0 {
-            bump_generation(acc, self.area, self.gen)?;
-        }
-        self.entry_batch.clear();
-        self.finished = true;
-        Ok(())
-    }
-
-    /// Rolls the operation back and invalidates the log. Staged target
-    /// writes are simply discarded; [`apply_undo`] additionally restores
-    /// any target the device did receive (it is a harmless no-op for
-    /// targets never issued), which covers aborts racing a partially
-    /// failed commit.
-    pub fn abort<A: LogAccess>(&mut self, acc: &A, staged: &mut StagedWrites) -> Result<()> {
-        self.finished = true;
-        staged.clear();
-        self.entry_batch.clear();
-        if self.tail > 0 {
-            apply_undo(acc, self.area, self.gen)?;
-        }
-        Ok(())
-    }
-
-    /// Best-effort [`abort`](Self::abort) for `Drop` impls: a session
-    /// dropped without commit (an early `?` return) must not leave
-    /// half-applied metadata. If the device has crashed, rollback fails
-    /// harmlessly here and recovery replays the log instead.
-    pub fn drop_rollback<A: LogAccess>(&mut self, acc: &A, staged: &mut StagedWrites) {
-        if !self.finished {
-            staged.clear();
-            if self.tail != 0 {
-                let _ = apply_undo(acc, self.area, self.gen);
-            }
-        }
-    }
-}
-
-/// An open device-backed undo session. Obtain with
-/// [`UndoSession::begin`]; every metadata mutation goes through
-/// [`log_and_write`](Self::log_and_write); reads that must observe the
-/// session's own staged writes go through [`read`](Self::read); finish
-/// with [`commit`](Self::commit) or [`abort`](Self::abort).
-///
-/// Exactly one session may be open per area at a time — the caller's
-/// sub-heap (or superblock) lock guarantees this. Dropping a session
-/// without committing rolls back immediately; a crash instead leaves
-/// durable entries (if fence #1 ran) for [`replay`] to roll back on
-/// recovery — and if it did not run, no target was ever touched.
-#[derive(Debug)]
-pub struct UndoSession<'a> {
-    dev: &'a PmemDevice,
-    core: LogCore,
-    staged: StagedWrites,
-}
-
-impl<'a> UndoSession<'a> {
-    /// Opens a session on `area`.
-    ///
-    /// # Errors
-    ///
-    /// [`PoseidonError::Corrupted`] if live entries from a crashed
-    /// operation are present (recovery must run first), or a device
-    /// error.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn begin(dev: &'a PmemDevice, area: UndoArea) -> Result<UndoSession<'a>> {
-        Ok(UndoSession { dev, core: LogCore::begin(dev, area)?, staged: Vec::new() })
-    }
-
-    /// As [`begin`](Self::begin), but re-drives a rollback that died
-    /// mid-flight (see [`LogCore::begin_recovering`]). The caller must
-    /// hold the area's lock.
-    ///
-    /// # Errors
-    ///
-    /// As for [`begin`](Self::begin), plus any error from re-driving the
-    /// stale rollback.
-    pub fn begin_recovering(dev: &'a PmemDevice, area: UndoArea) -> Result<UndoSession<'a>> {
-        Ok(UndoSession { dev, core: LogCore::begin_recovering(dev, area)?, staged: Vec::new() })
-    }
-
-    /// Logs the current content of `[target, target + new.len())`, then
-    /// stages `new` for that range. The store is issued and becomes
-    /// durable at [`commit`](Self::commit).
-    ///
-    /// # Errors
-    ///
-    /// [`PoseidonError::Corrupted`] if the log area overflows (operations
-    /// are designed to fit comfortably; overflow means a bug), or a
-    /// device error.
-    pub fn log_and_write(&mut self, target: u64, new: &[u8]) -> Result<()> {
-        self.core.log_and_write(self.dev, &mut self.staged, target, new)
-    }
-
-    /// Convenience: [`log_and_write`](Self::log_and_write) of a
-    /// [`Pod`](pmem::Pod) value.
-    ///
-    /// # Errors
-    ///
-    /// As for [`log_and_write`](Self::log_and_write).
-    pub fn log_and_write_pod<T: pmem::Pod>(&mut self, target: u64, value: &T) -> Result<()> {
-        self.log_and_write(target, value.as_bytes())
-    }
-
-    /// Reads `buf.len()` bytes at `offset` through the staged-write
-    /// overlay, so the session observes its own not-yet-issued stores.
-    ///
-    /// # Errors
-    ///
-    /// Device errors.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn read(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        self.dev.read(offset, buf)?;
-        overlay_patch(&self.staged, offset, buf);
-        Ok(())
-    }
-
-    /// Reads a [`Pod`](pmem::Pod) value through the staged-write overlay.
-    ///
-    /// # Errors
-    ///
-    /// As for [`read`](Self::read).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn read_pod<T: pmem::Pod>(&self, offset: u64) -> Result<T> {
-        let mut value = T::zeroed();
-        self.read(offset, value.as_bytes_mut())?;
-        Ok(value)
-    }
-
-    /// Commits: one fence makes the log durable, the staged stores are
-    /// issued and fenced, and the generation bump invalidates the log —
-    /// three fences total, zero for an empty session (see the
-    /// [module docs](self)).
-    ///
-    /// # Errors
-    ///
-    /// Device errors only.
-    pub fn commit(mut self) -> Result<()> {
-        self.core.commit(self.dev, &mut self.staged)
-    }
-
-    /// Rolls the session back: discards staged stores, restores every
-    /// logged range (newest first) and invalidates the log. The heap is
-    /// exactly as it was before [`begin`](Self::begin).
-    ///
-    /// # Errors
-    ///
-    /// Device errors only.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn abort(mut self) -> Result<()> {
-        self.core.abort(self.dev, &mut self.staged)
-    }
-}
-
-impl Drop for UndoSession<'_> {
-    fn drop(&mut self) {
-        self.core.drop_rollback(self.dev, &mut self.staged);
     }
 }
 
@@ -504,14 +202,14 @@ pub(crate) fn read_entry<A: LogAccess>(
 /// invalidates the log.
 ///
 /// The log is fenced durable *before* the first restoration store is
-/// issued — the same discipline as [`LogCore::commit`]'s fence #1, for
+/// issued — the same discipline as the commit's fence #1, for
 /// the same reason: restores rewind through overlay-patched intermediate
 /// pre-images that never existed on media, so a crash that interrupts
 /// them is only recoverable if the complete chain survives for recovery
 /// to replay. (On an abort racing a crash the entries may exist only in
 /// cache; a rollback begun without this fence could persist a bogus
 /// intermediate value while the chain tears.)
-fn apply_undo<A: LogAccess>(acc: &A, area: UndoArea, gen: u64) -> Result<()> {
+pub(crate) fn apply_undo<A: LogAccess>(acc: &A, area: UndoArea, gen: u64) -> Result<()> {
     let mut entries = Vec::new();
     let mut pos = 0u64;
     while let Some((target, len, old, entry_len)) = read_entry(acc, area, gen, pos)? {
@@ -535,7 +233,7 @@ fn apply_undo<A: LogAccess>(acc: &A, area: UndoArea, gen: u64) -> Result<()> {
     Ok(())
 }
 
-fn bump_generation<A: LogAccess>(acc: &A, area: UndoArea, gen: u64) -> Result<()> {
+pub(crate) fn bump_generation<A: LogAccess>(acc: &A, area: UndoArea, gen: u64) -> Result<()> {
     acc.write_pod(area.gen_field, &(gen + 1))?;
     acc.clwb(area.gen_field, 8)?;
     acc.sfence()?;
@@ -562,43 +260,49 @@ pub fn replay(dev: &PmemDevice, area: UndoArea) -> Result<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::PoseidonError;
+    use crate::layout::{HeapLayout, HUGE_TABLE_OFF};
+    use crate::persist::{HugeCtx, SbCtx, SubCtx};
+    use crate::session::{HugeTx, SbTx, SubTx, UndoScope};
+    use crate::superblock;
+    use pmem::contention::TrackedMutex;
     use pmem::{CrashMode, DeviceConfig};
 
-    fn setup() -> (PmemDevice, UndoArea) {
-        let dev = PmemDevice::new(DeviceConfig::small_test());
-        // Generation field at 0, log area at 4096.
-        let area = UndoArea { base: 4096, size: 8192, gen_field: 0 };
-        (dev, area)
+    fn setup() -> (PmemDevice, HeapLayout) {
+        let layout = HeapLayout::compute(64 << 20, 2).unwrap();
+        (PmemDevice::new(DeviceConfig::new(64 << 20)), layout)
+    }
+
+    fn ctx<'a>(dev: &'a PmemDevice, layout: &'a HeapLayout) -> SubCtx<'a> {
+        SubCtx { dev, layout, sub: 0 }
+    }
+
+    /// A line-aligned metadata word of sub-heap 0 (its table area).
+    fn target(layout: &HeapLayout) -> u64 {
+        layout.level_base(0, 0)
+    }
+
+    /// Persists `value` at `offset` outside any transaction.
+    fn preset(dev: &PmemDevice, offset: u64, value: u64) {
+        dev.write_pod(offset, &value).unwrap();
+        dev.persist(offset, 8).unwrap();
     }
 
     #[test]
     fn commit_makes_writes_durable() {
-        let (dev, area) = setup();
-        let mut s = UndoSession::begin(&dev, area).unwrap();
-        s.log_and_write_pod(64 * 1024, &0xAAu64).unwrap();
-        s.log_and_write_pod(64 * 1024 + 8, &0xBBu64).unwrap();
+        let (dev, layout) = setup();
+        let t = target(&layout);
+        let tx = SubTx::unguarded(ctx(&dev, &layout)).unwrap();
+        let mut s = tx.undo().unwrap();
+        s.log_and_write_pod(t, &0xAAu64).unwrap();
+        s.log_and_write_pod(t + 8, &0xBBu64).unwrap();
         s.commit().unwrap();
+        drop(tx);
         dev.simulate_crash(CrashMode::Strict, 0);
-        assert_eq!(dev.read_pod::<u64>(64 * 1024).unwrap(), 0xAA);
-        assert_eq!(dev.read_pod::<u64>(64 * 1024 + 8).unwrap(), 0xBB);
+        assert_eq!(dev.read_pod::<u64>(t).unwrap(), 0xAA);
+        assert_eq!(dev.read_pod::<u64>(t + 8).unwrap(), 0xBB);
         // Log is invalid after commit.
-        assert!(!replay(&dev, area).unwrap());
-    }
-
-    #[test]
-    fn session_reads_see_staged_writes() {
-        let (dev, area) = setup();
-        let target = 64 * 1024;
-        dev.write_pod(target, &1u64).unwrap();
-        dev.persist(target, 8).unwrap();
-        let mut s = UndoSession::begin(&dev, area).unwrap();
-        s.log_and_write_pod(target, &2u64).unwrap();
-        // The store is staged: invisible on the raw device, visible
-        // through the session overlay.
-        assert_eq!(dev.read_pod::<u64>(target).unwrap(), 1);
-        assert_eq!(s.read_pod::<u64>(target).unwrap(), 2);
-        s.commit().unwrap();
-        assert_eq!(dev.read_pod::<u64>(target).unwrap(), 2);
+        assert!(!replay(&dev, ctx(&dev, &layout).undo_area()).unwrap());
     }
 
     #[test]
@@ -606,64 +310,70 @@ mod tests {
         // Without commit, neither the entries nor the targets were ever
         // fenced (targets were never even issued): a strict crash is a
         // complete no-op for the operation.
-        let (dev, area) = setup();
-        let target = 64 * 1024;
-        dev.write_pod(target, &1u64).unwrap();
-        dev.persist(target, 8).unwrap();
-
-        let mut s = UndoSession::begin(&dev, area).unwrap();
-        s.log_and_write_pod(target, &2u64).unwrap();
-        std::mem::forget(s); // simulate losing the session in a crash
+        let (dev, layout) = setup();
+        let t = target(&layout);
+        preset(&dev, t, 1);
+        let tx = SubTx::unguarded(ctx(&dev, &layout)).unwrap();
+        let mut s = tx.undo().unwrap();
+        s.log_and_write_pod(t, &2u64).unwrap();
+        std::mem::forget(s); // simulate losing the scope in a crash
+        drop(tx);
         dev.simulate_crash(CrashMode::Strict, 7);
 
-        assert!(!replay(&dev, area).unwrap());
-        assert_eq!(dev.read_pod::<u64>(target).unwrap(), 1);
+        assert!(!replay(&dev, ctx(&dev, &layout).undo_area()).unwrap());
+        assert_eq!(dev.read_pod::<u64>(t).unwrap(), 1);
     }
 
     #[test]
     fn crash_during_commit_replays_to_old_state() {
-        let (dev, area) = setup();
-        let target = 64 * 1024;
-        dev.write_pod(target, &1u64).unwrap();
-        dev.persist(target, 8).unwrap();
-
-        let mut s = UndoSession::begin(&dev, area).unwrap();
-        s.log_and_write_pod(target, &2u64).unwrap();
-        // Commit events: entry write, entry-line clwb, fence #1, target
-        // write, … Crash on the target flush: the entry is durable, the
-        // target store issued but not persisted.
-        dev.arm_crash_after(4);
-        assert!(s.commit().is_err());
+        let (dev, layout) = setup();
+        let (t, area) = (target(&layout), ctx(&dev, &layout).undo_area());
+        preset(&dev, t, 1);
+        {
+            let tx = SubTx::unguarded(ctx(&dev, &layout)).unwrap();
+            let mut s = tx.undo().unwrap();
+            s.log_and_write_pod(t, &2u64).unwrap();
+            // Commit events: entry write, entry-line clwb, fence #1, target
+            // write, … Crash on the target flush: the entry is durable, the
+            // target store issued but not persisted.
+            dev.arm_crash_after(4);
+            assert!(s.commit().is_err());
+        }
         dev.simulate_crash(CrashMode::Strict, 7);
 
         assert!(replay(&dev, area).unwrap());
-        assert_eq!(dev.read_pod::<u64>(target).unwrap(), 1);
+        assert_eq!(dev.read_pod::<u64>(t).unwrap(), 1);
         // Idempotent: nothing left to replay.
         assert!(!replay(&dev, area).unwrap());
     }
 
     #[test]
     fn replay_restores_in_reverse_order() {
-        let (dev, area) = setup();
-        let target = 64 * 1024;
-        dev.write_pod(target, &1u64).unwrap();
-        dev.persist(target, 8).unwrap();
-        let mut s = UndoSession::begin(&dev, area).unwrap();
-        s.log_and_write_pod(target, &2u64).unwrap();
-        s.log_and_write_pod(target, &3u64).unwrap(); // same target twice
-        s.commit().unwrap();
+        let (dev, layout) = setup();
+        let (t, area) = (target(&layout), ctx(&dev, &layout).undo_area());
+        preset(&dev, t, 1);
+        {
+            let tx = SubTx::unguarded(ctx(&dev, &layout)).unwrap();
+            let mut s = tx.undo().unwrap();
+            s.log_and_write_pod(t, &2u64).unwrap();
+            s.log_and_write_pod(t, &3u64).unwrap(); // same target twice
+            s.commit().unwrap();
+        }
         dev.simulate_crash(CrashMode::Strict, 0);
-        assert_eq!(dev.read_pod::<u64>(target).unwrap(), 3);
+        assert_eq!(dev.read_pod::<u64>(t).unwrap(), 3);
         // Now interrupt a fresh double-update during target application.
-        let mut s = UndoSession::begin(&dev, area).unwrap();
-        s.log_and_write_pod(target, &4u64).unwrap();
-        s.log_and_write_pod(target, &5u64).unwrap();
-        dev.arm_crash_after(6); // entry writes ×2, clwb ×2, fence, write
-        assert!(s.commit().is_err());
+        {
+            let tx = SubTx::unguarded(ctx(&dev, &layout)).unwrap();
+            let mut s = tx.undo().unwrap();
+            s.log_and_write_pod(t, &4u64).unwrap();
+            s.log_and_write_pod(t, &5u64).unwrap();
+            dev.arm_crash_after(6); // entry writes ×2, clwb ×2, fence, write
+            assert!(s.commit().is_err());
+        }
         dev.simulate_crash(CrashMode::Strict, 0);
         replay(&dev, area).unwrap();
         // Reverse application ends on the *first* entry's old value.
-        assert_eq!(dev.read_pod::<u64>(target).unwrap(), 3);
+        assert_eq!(dev.read_pod::<u64>(t).unwrap(), 3);
     }
 
     #[test]
@@ -673,66 +383,62 @@ mod tests {
         // reverse replay would be wrong if only the *second* entry's
         // target application crashed. Verified through abort, which
         // replays both entries.
-        let (dev, area) = setup();
-        let target = 64 * 1024;
-        dev.write_pod(target, &1u64).unwrap();
-        dev.persist(target, 8).unwrap();
-        let mut s = UndoSession::begin(&dev, area).unwrap();
-        s.log_and_write_pod(target, &2u64).unwrap();
-        assert_eq!(s.read_pod::<u64>(target).unwrap(), 2);
-        s.log_and_write_pod(target, &3u64).unwrap();
-        assert_eq!(s.read_pod::<u64>(target).unwrap(), 3);
+        let (dev, layout) = setup();
+        let t = target(&layout);
+        preset(&dev, t, 1);
+        let tx = SubTx::unguarded(ctx(&dev, &layout)).unwrap();
+        let mut s = tx.undo().unwrap();
+        s.log_and_write_pod(t, &2u64).unwrap();
+        assert_eq!(tx.read_pod::<u64>(t).unwrap(), 2);
+        s.log_and_write_pod(t, &3u64).unwrap();
+        assert_eq!(tx.read_pod::<u64>(t).unwrap(), 3);
+        let (_, _, old, _) = read_entry(tx.view(), ctx(&dev, &layout).undo_area(), 0, 40).unwrap().unwrap();
+        assert_eq!(old, 2u64.to_le_bytes());
         s.abort().unwrap();
-        assert_eq!(dev.read_pod::<u64>(target).unwrap(), 1);
-    }
-
-    #[test]
-    fn abort_rolls_back_immediately() {
-        let (dev, area) = setup();
-        let target = 64 * 1024;
-        dev.write_pod(target, &7u64).unwrap();
-        let mut s = UndoSession::begin(&dev, area).unwrap();
-        s.log_and_write_pod(target, &8u64).unwrap();
-        assert_eq!(s.read_pod::<u64>(target).unwrap(), 8);
-        s.abort().unwrap();
-        assert_eq!(dev.read_pod::<u64>(target).unwrap(), 7);
-        assert!(!replay(&dev, area).unwrap());
+        assert_eq!(dev.read_pod::<u64>(t).unwrap(), 1);
     }
 
     #[test]
     fn drop_without_commit_rolls_back() {
-        let (dev, area) = setup();
-        let target = 64 * 1024;
-        dev.write_pod(target, &7u64).unwrap();
+        let (dev, layout) = setup();
+        let t = target(&layout);
+        dev.write_pod(t, &7u64).unwrap();
+        let tx = SubTx::unguarded(ctx(&dev, &layout)).unwrap();
         {
-            let mut s = UndoSession::begin(&dev, area).unwrap();
-            s.log_and_write_pod(target, &8u64).unwrap();
+            let mut s = tx.undo().unwrap();
+            s.log_and_write_pod(t, &8u64).unwrap();
+            assert_eq!(tx.read_pod::<u64>(t).unwrap(), 8);
             // dropped here without commit
         }
-        assert_eq!(dev.read_pod::<u64>(target).unwrap(), 7);
-        // A fresh session can begin.
-        UndoSession::begin(&dev, area).unwrap().commit().unwrap();
+        assert_eq!(dev.read_pod::<u64>(t).unwrap(), 7);
+        assert!(!replay(&dev, ctx(&dev, &layout).undo_area()).unwrap());
+        // A fresh scope can begin.
+        tx.undo().unwrap().commit().unwrap();
     }
 
     #[test]
     fn begin_rejects_unrecovered_log() {
-        let (dev, area) = setup();
-        let mut s = UndoSession::begin(&dev, area).unwrap();
-        s.log_and_write_pod(64 * 1024, &1u64).unwrap();
+        let (dev, layout) = setup();
+        let tx = SubTx::unguarded(ctx(&dev, &layout)).unwrap();
+        let mut s = tx.undo().unwrap();
+        s.log_and_write_pod(target(&layout), &1u64).unwrap();
         std::mem::forget(s);
-        assert!(matches!(UndoSession::begin(&dev, area), Err(PoseidonError::Corrupted(_))));
-        replay(&dev, area).unwrap();
-        UndoSession::begin(&dev, area).unwrap().commit().unwrap();
+        drop(tx);
+        let tx = SubTx::unguarded(ctx(&dev, &layout)).unwrap();
+        assert!(matches!(tx.undo(), Err(PoseidonError::Corrupted(_))));
+        replay(&dev, ctx(&dev, &layout).undo_area()).unwrap();
+        tx.undo().unwrap().commit().unwrap();
     }
 
     #[test]
     fn empty_commit_is_barrier_free() {
-        // Satellite regression: a session that logs nothing must not
-        // pay a single flush or fence, and must not bump the generation.
-        let (dev, area) = setup();
+        // Satellite regression: a scope that logs nothing must not pay a
+        // single flush or fence, and must not bump the generation.
+        let (dev, layout) = setup();
+        let area = ctx(&dev, &layout).undo_area();
         let gen_before: u64 = dev.read_pod(area.gen_field).unwrap();
         let before = dev.stats();
-        UndoSession::begin(&dev, area).unwrap().commit().unwrap();
+        SubTx::unguarded(ctx(&dev, &layout)).unwrap().undo().unwrap().commit().unwrap();
         let after = dev.stats();
         assert_eq!(after.sfence_count, before.sfence_count, "empty commit fenced");
         assert_eq!(after.clwb_count, before.clwb_count, "empty commit flushed");
@@ -744,13 +450,17 @@ mod tests {
         // Satellite regression: two staged writes to one cache line must
         // cost one target clwb, not two (and the two 40-byte entries
         // share a line boundary: lines 0 and 1 of the log area).
-        let (dev, area) = setup();
-        let target = 64 * 1024; // line-aligned
+        let (dev, layout) = setup();
+        let t = target(&layout);
+        assert_eq!(t % 64, 0, "target must be line-aligned");
         let before = dev.stats();
-        let mut s = UndoSession::begin(&dev, area).unwrap();
-        s.log_and_write_pod(target, &2u64).unwrap();
-        s.log_and_write_pod(target + 8, &3u64).unwrap(); // same line
-        s.commit().unwrap();
+        {
+            let tx = SubTx::unguarded(ctx(&dev, &layout)).unwrap();
+            let mut s = tx.undo().unwrap();
+            s.log_and_write_pod(t, &2u64).unwrap();
+            s.log_and_write_pod(t + 8, &3u64).unwrap(); // same line
+            s.commit().unwrap();
+        }
         let after = dev.stats();
         // entries: 2 lines (80 bytes from a line-aligned base);
         // targets: 1 line (deduped); generation bump: 1 line.
@@ -759,29 +469,20 @@ mod tests {
     }
 
     #[test]
-    fn overflow_is_detected() {
-        let (dev, area) = setup();
-        let mut s = UndoSession::begin(&dev, area).unwrap();
-        let big = vec![0u8; 4096];
-        s.log_and_write(64 * 1024, &big).unwrap();
-        let r = s.log_and_write(80 * 1024, &big);
-        assert!(matches!(r, Err(PoseidonError::Corrupted("undo log overflow"))));
-        s.abort().unwrap();
-    }
-
-    #[test]
     fn replay_survives_crash_during_replay() {
-        let (dev, area) = setup();
-        let target = 64 * 1024;
-        dev.write_pod(target, &1u64).unwrap();
-        dev.persist(target, 8).unwrap();
-        let mut s = UndoSession::begin(&dev, area).unwrap();
-        s.log_and_write_pod(target, &2u64).unwrap();
-        s.log_and_write_pod(target + 8, &9u64).unwrap();
-        // Crash right after fence #1 (2 entry writes + 2 entry-line
-        // clwbs + the fence): entries durable, no target issued.
-        dev.arm_crash_after(5);
-        assert!(s.commit().is_err());
+        let (dev, layout) = setup();
+        let (t, area) = (target(&layout), ctx(&dev, &layout).undo_area());
+        preset(&dev, t, 1);
+        {
+            let tx = SubTx::unguarded(ctx(&dev, &layout)).unwrap();
+            let mut s = tx.undo().unwrap();
+            s.log_and_write_pod(t, &2u64).unwrap();
+            s.log_and_write_pod(t + 8, &9u64).unwrap();
+            // Crash right after fence #1 (2 entry writes + 2 entry-line
+            // clwbs + the fence): entries durable, no target issued.
+            dev.arm_crash_after(5);
+            assert!(s.commit().is_err());
+        }
         dev.simulate_crash(CrashMode::Strict, 0);
 
         // Crash partway through the replay itself.
@@ -791,36 +492,120 @@ mod tests {
 
         // Second replay completes.
         assert!(replay(&dev, area).unwrap());
-        assert_eq!(dev.read_pod::<u64>(target).unwrap(), 1);
-        assert_eq!(dev.read_pod::<u64>(target + 8).unwrap(), 0);
+        assert_eq!(dev.read_pod::<u64>(t).unwrap(), 1);
+        assert_eq!(dev.read_pod::<u64>(t + 8).unwrap(), 0);
+    }
+
+    /// Runs a closure on an open undo scope.
+    type ScopeFn<'f> = &'f mut dyn FnMut(UndoScope<'_, '_>) -> Result<()>;
+
+    /// One area of the transaction type, as a row of the lock-holder
+    /// table below.
+    struct AreaRow {
+        name: &'static str,
+        /// Two metadata words of the area, on distinct lines.
+        targets: fn(&HeapLayout) -> [u64; 2],
+        undo_area: fn(&PmemDevice, &HeapLayout) -> UndoArea,
+        /// Opens a transaction holding a (test-local) area lock and runs
+        /// the closure on its undo scope.
+        guarded: fn(&PmemDevice, &HeapLayout, ScopeFn<'_>) -> Result<()>,
+        /// Opens a transaction without a lock and tries to open its undo
+        /// scope; `None` when the area has no unguarded constructor.
+        unguarded: Option<fn(&PmemDevice, &HeapLayout) -> Result<()>>,
+    }
+
+    fn area_rows() -> [AreaRow; 3] {
+        [
+            AreaRow {
+                name: "sub-heap",
+                targets: |layout| [layout.level_base(0, 0), layout.level_base(0, 0) + 128],
+                undo_area: |dev, layout| SubCtx { dev, layout, sub: 0 }.undo_area(),
+                guarded: |dev, layout, f| {
+                    let lock = TrackedMutex::new(());
+                    let tx = SubTx::guarded(SubCtx { dev, layout, sub: 0 }, lock.lock(), None)?;
+                    let scope = tx.undo()?;
+                    f(scope)
+                },
+                unguarded: Some(|dev, layout| {
+                    SubTx::unguarded(SubCtx { dev, layout, sub: 0 })?.undo().map(drop)
+                }),
+            },
+            AreaRow {
+                name: "huge region",
+                targets: |layout| {
+                    let table = layout.huge_meta_base() + HUGE_TABLE_OFF;
+                    [table + 320, table + 640]
+                },
+                undo_area: |dev, layout| HugeCtx { dev, layout }.undo_area(),
+                guarded: |dev, layout, f| {
+                    let lock = TrackedMutex::new(());
+                    let tx = HugeTx::guarded(HugeCtx { dev, layout }, lock.lock(), None)?;
+                    let scope = tx.undo()?;
+                    f(scope)
+                },
+                unguarded: Some(|dev, layout| HugeTx::unguarded(HugeCtx { dev, layout })?.undo().map(drop)),
+            },
+            AreaRow {
+                name: "superblock",
+                targets: |_| [superblock::dir_entry_off(10), superblock::dir_entry_off(30)],
+                undo_area: |_, _| superblock::undo_area(),
+                guarded: |dev, _, f| {
+                    let lock = TrackedMutex::new(());
+                    let sb = lock.lock();
+                    let tx = SbTx::guarded(SbCtx { dev }, &sb, None)?;
+                    let scope = tx.undo()?;
+                    f(scope)
+                },
+                // The superblock transaction can only be built from the
+                // lock guard, so there is no strict case to check.
+                unguarded: None,
+            },
+        ]
     }
 
     #[test]
     fn begin_redrives_a_rollback_interrupted_mid_flight() {
         // A rollback that dies partway (here: device failure during the
-        // abort) leaves the log live. A lock-holding caller must be able
-        // to finish the rollback instead of wedging until a power cycle;
-        // plain begin (which cannot assume the lock) still rejects.
-        let (dev, area) = setup();
-        let target = 64 * 1024;
-        dev.write_pod(target, &1u64).unwrap();
-        dev.persist(target, 8).unwrap();
-        let mut s = UndoSession::begin(&dev, area).unwrap();
-        s.log_and_write_pod(target, &2u64).unwrap();
-        s.log_and_write_pod(target + 8, &9u64).unwrap();
-        dev.arm_crash_after(5);
-        assert!(s.commit().is_err()); // consumes s; drop_rollback fails too
-        dev.clear_crash();
+        // drop-time rollback of a failed commit) leaves the log live. In
+        // every area a transaction holding the area lock finishes the
+        // rollback instead of wedging until a power cycle, leaving the
+        // pre-op bytes on media; one built without the lock cannot rule
+        // out a concurrent scope and still rejects the log.
+        for row in area_rows() {
+            let (dev, layout) = setup();
+            let [t0, t1] = (row.targets)(&layout);
+            preset(&dev, t0, 1);
+            preset(&dev, t1, 1);
+            let commit = (row.guarded)(&dev, &layout, &mut |mut s| {
+                s.log_and_write_pod(t0, &2u64)?;
+                s.log_and_write_pod(t1, &9u64)?;
+                // Entry-line clwbs ×2, fence #1, target write, target
+                // write: the crash lands mid-application, and the drop
+                // rollback that follows fails too.
+                dev.arm_crash_after(5);
+                s.commit()
+            });
+            assert!(commit.is_err(), "{}: commit survived the crash", row.name);
+            dev.clear_crash();
 
-        // Plain begin stays strict about the live log...
-        assert!(matches!(UndoSession::begin(&dev, area), Err(PoseidonError::Corrupted(_))));
-
-        // ...but begin_recovering re-drives the rollback and opens
-        // cleanly on the bumped generation.
-        let s = UndoSession::begin_recovering(&dev, area).unwrap();
-        drop(s);
-        assert_eq!(dev.read_pod::<u64>(target).unwrap(), 1);
-        assert!(!replay(&dev, area).unwrap());
+            if let Some(unguarded) = row.unguarded {
+                let r = unguarded(&dev, &layout);
+                assert!(
+                    matches!(r, Err(PoseidonError::Corrupted(_))),
+                    "{}: unguarded tx got {r:?}",
+                    row.name
+                );
+            }
+            (row.guarded)(&dev, &layout, &mut |s| {
+                drop(s);
+                Ok(())
+            })
+            .unwrap_or_else(|e| panic!("{}: guarded tx did not re-drive: {e:?}", row.name));
+            dev.simulate_crash(CrashMode::Strict, 0);
+            assert_eq!(dev.read_pod::<u64>(t0).unwrap(), 1, "{}: pre-op bytes lost", row.name);
+            assert_eq!(dev.read_pod::<u64>(t1).unwrap(), 1, "{}: pre-op bytes lost", row.name);
+            assert!(!replay(&dev, (row.undo_area)(&dev, &layout)).unwrap(), "{}: log still live", row.name);
+        }
     }
 
     #[test]
@@ -834,18 +619,19 @@ mod tests {
         //    entry's or any later one's) was ever mutated.
         // 2. After replay the heap is atomic: all targets old or all
         //    targets new.
-        let targets = |i: u64| 64 * 1024 + i * 128; // distinct lines
         for arm in 1..=18u64 {
             for seed in 0..8u64 {
-                let (dev, area) = setup();
+                let (dev, layout) = setup();
+                let targets = |i: u64| target(&layout) + i * 128; // distinct lines
+                let area = ctx(&dev, &layout).undo_area();
                 for i in 0..3 {
-                    dev.write_pod(targets(i), &1u64).unwrap();
-                    dev.persist(targets(i), 8).unwrap();
+                    preset(&dev, targets(i), 1);
                 }
                 let start_gen: u64 = dev.read_pod(area.gen_field).unwrap();
                 dev.arm_crash_after(arm);
                 let committed = (|| -> Result<()> {
-                    let mut s = UndoSession::begin(&dev, area)?;
+                    let tx = SubTx::unguarded(ctx(&dev, &layout))?;
+                    let mut s = tx.undo()?;
                     for i in 0..3 {
                         s.log_and_write_pod(targets(i), &2u64)?;
                     }
@@ -889,18 +675,19 @@ mod tests {
 
     #[test]
     fn generation_bump_invalidates_stale_entries() {
-        let (dev, area) = setup();
-        let target = 64 * 1024;
-        let mut s = UndoSession::begin(&dev, area).unwrap();
-        s.log_and_write_pod(target, &5u64).unwrap();
+        let (dev, layout) = setup();
+        let t = target(&layout);
+        let tx = SubTx::unguarded(ctx(&dev, &layout)).unwrap();
+        let mut s = tx.undo().unwrap();
+        s.log_and_write_pod(t, &5u64).unwrap();
         s.commit().unwrap();
         // The old entry bytes still sit in the log area but belong to a
-        // dead generation: a new session starts clean and replay is a
+        // dead generation: a new scope starts clean and replay is a
         // no-op.
-        assert!(!replay(&dev, area).unwrap());
-        let mut s = UndoSession::begin(&dev, area).unwrap();
-        s.log_and_write_pod(target, &6u64).unwrap();
+        assert!(!replay(&dev, ctx(&dev, &layout).undo_area()).unwrap());
+        let mut s = tx.undo().unwrap();
+        s.log_and_write_pod(t, &6u64).unwrap();
         s.commit().unwrap();
-        assert_eq!(dev.read_pod::<u64>(target).unwrap(), 6);
+        assert_eq!(dev.read_pod::<u64>(t).unwrap(), 6);
     }
 }

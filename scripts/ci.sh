@@ -116,4 +116,11 @@ cargo run --release --bin crashfuzz -- --iters 40 --maint --poison --seed 271828
 echo "== crashfuzz --iters 40 --maint --grow (fixed seed)"
 cargo run --release --bin crashfuzz -- --iters 40 --maint --grow --seed 161803
 
+# Exact-count gate: the benchmark's exact pass is deterministic for a
+# fixed seed, so its per-workload counts (sfences, clwbs, undo entries
+# and words, validations, metadata maps, wrpkru, cache events) must
+# match scripts/exact_counts.expected line for line.
+echo "== exact counts (benchmark exact pass, seed 1)"
+scripts/exact_counts.sh
+
 echo "CI gate passed."
