@@ -9,6 +9,20 @@
 //! tombstones) and only then activates the next level; levels whose live
 //! count drops to zero are deactivated and hole-punched back to the
 //! device (§5.6).
+//!
+//! **Probe order: newest level first.** [`lookup`] and [`insert`] walk
+//! the active levels from the largest (most recently activated) down to
+//! level 0. A level is activated only once every active window is full,
+//! so the older levels are the saturated ones: probing them first costs
+//! a whole [`PROBE_WINDOW`] of reads per level before reaching the one
+//! level with free slots. Newest-first, an insert stops at the top
+//! level's first EMPTY slot, and a lookup of a recently inserted record
+//! ends there too. A key absent from the table still scans every level,
+//! so invalid and double frees are still detected. The order is a search
+//! policy only and is not part of the on-media format: every key lives
+//! in exactly one level, so the walk order cannot change which record a
+//! lookup finds, and a pool whose records were placed oldest-first opens
+//! and serves as it is.
 
 use crate::error::{PoseidonError, Result};
 use crate::layout::{ENTRY_SIZE, MAX_LEVELS, PROBE_WINDOW, SH_TABLE_OFF};
@@ -49,11 +63,13 @@ fn slot_off(op: &SubTx<'_>, level: usize, index: u64) -> u64 {
     op.ctx.layout.level_base(op.ctx.sub, level) + index * ENTRY_SIZE
 }
 
-/// Looks up the record whose key (block offset) is `key`.
-/// Returns the record's device offset and value, or `None`.
+/// Looks up the record whose key (block offset) is `key`, probing the
+/// active levels newest first (see the [module docs](self)).
+/// Returns the record's device offset and value, or `None` once every
+/// level's window has been scanned.
 pub(crate) fn lookup(op: &SubTx<'_>, key: u64) -> Result<Option<(u64, HashEntry)>> {
-    let active = op.active_levels()? as usize;
-    for level in 0..active.min(MAX_LEVELS) {
+    let active = (op.active_levels()? as usize).min(MAX_LEVELS);
+    for level in (0..active).rev() {
         let capacity = op.ctx.layout.level_capacity(level);
         let start = home_slot(key, level, capacity);
         for i in 0..PROBE_WINDOW.min(capacity) {
@@ -72,16 +88,23 @@ pub(crate) fn lookup(op: &SubTx<'_>, key: u64) -> Result<Option<(u64, HashEntry)
 
 /// Inserts `entry` (keyed by `entry.offset`), reusing tombstones.
 ///
-/// If every active level's probe window is full and `allow_activate` is
-/// set, the next level is activated *inside the scope* (its area is
-/// hole-punched clean first, then `active_levels` and the level count are
-/// undo-logged). Returns the record's device offset.
+/// Levels are tried newest first (see the [module docs](self)); the
+/// record goes into the first level whose window holds an EMPTY slot or
+/// a tombstone. If every active level's probe window is full and
+/// `allow_activate` is set, the next level is activated *inside the
+/// scope* (its area is hole-punched clean first, then `active_levels`
+/// and the level count are undo-logged). Returns the record's device
+/// offset.
 ///
 /// # Errors
 ///
 /// [`PoseidonError::TableFull`] when no slot is available (callers
 /// defragment and retry, per §5.2); [`PoseidonError::Corrupted`] if the
-/// key already exists.
+/// key is already live in a window this insert scanned — the levels
+/// from the newest down to the insertion level. That is an in-window
+/// check only: a duplicate sitting in an older level is not seen here.
+/// The full duplicate check is the audit's (`subheap::audit_with`),
+/// which the tests and crashfuzz run.
 pub(crate) fn insert(
     op: &SubTx<'_>,
     scope: &mut UndoScope<'_, '_>,
@@ -90,7 +113,7 @@ pub(crate) fn insert(
 ) -> Result<u64> {
     let key = entry.offset;
     let active = (op.active_levels()? as usize).min(MAX_LEVELS);
-    for level in 0..active {
+    for level in (0..active).rev() {
         let capacity = op.ctx.layout.level_capacity(level);
         let start = home_slot(key, level, capacity);
         let mut reusable = None;
@@ -427,6 +450,88 @@ mod tests {
         assert!(op.active_levels().unwrap() >= 2);
         for i in 0..total {
             assert!(lookup(&op, i * 32).unwrap().is_some(), "key {} lost after activation", i * 32);
+        }
+    }
+
+    /// Runs `f` in a fresh transaction on sub-heap 0 and returns its
+    /// result with the number of view reads it made (a view reports its
+    /// reads to the device stats when it drops).
+    fn counting_reads<R>(dev: &PmemDevice, layout: &HeapLayout, f: impl FnOnce(&SubTx<'_>) -> R) -> (R, u64) {
+        let before = dev.stats().read_ops;
+        let r = f(&SubTx::unguarded(SubCtx { dev, layout, sub: 0 }).unwrap());
+        (r, dev.stats().read_ops - before)
+    }
+
+    #[test]
+    fn newest_level_first_bounds_probes_per_operation() {
+        let (dev, layout) = setup();
+        let op = SubTx::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
+        let mut keys = Vec::new();
+        let mut next_key = 0u64;
+        let mut fresh_key = || {
+            next_key += 32;
+            next_key
+        };
+        // Grow to five active levels, saturating the table before each
+        // activation: inserts that may not activate fill the windows until
+        // TableFull repeats, then one insert that may activate opens the
+        // next level. Levels 0..=3 end up saturated, as they are on a
+        // long-running heap, and level 4 holds one record.
+        while op.active_levels().unwrap() < 5 {
+            let mut misses = 0;
+            while misses < 16 {
+                let key = fresh_key();
+                match with_scope(&op, |s| insert(&op, s, entry(key), false)) {
+                    Ok(_) => {
+                        keys.push(key);
+                        misses = 0;
+                    }
+                    Err(PoseidonError::TableFull) => misses += 1,
+                    Err(e) => panic!("unexpected {e}"),
+                }
+            }
+            let levels = op.active_levels().unwrap();
+            let key = fresh_key();
+            with_scope(&op, |s| insert(&op, s, entry(key), true)).unwrap();
+            assert_eq!(op.active_levels().unwrap(), levels + 1, "insert with activation opens a level");
+            for &old in &keys {
+                assert!(
+                    lookup(&op, old).unwrap().is_some(),
+                    "key {old} lost after activating level {levels}"
+                );
+            }
+            keys.push(key);
+        }
+        drop(op);
+
+        // Oldest-first probing reads a whole window of every saturated
+        // level before reaching the newest: at least 4 * PROBE_WINDOW
+        // reads per insert, and per lookup of a record in the newest
+        // level. Newest-first stops in the newest level.
+        let budget = PROBE_WINDOW;
+        for _ in 0..8 {
+            let key = fresh_key();
+            let (inserted, reads) = counting_reads(&dev, &layout, |op| {
+                let mut scope = op.undo()?;
+                let off = insert(op, &mut scope, entry(key), true)?;
+                scope.commit()?;
+                Ok::<_, PoseidonError>(off)
+            });
+            let off = inserted.unwrap();
+            assert!(reads < budget, "insert of a new key made {reads} reads (budget {budget})");
+            let (found, reads) = counting_reads(&dev, &layout, |op| lookup(op, key).unwrap());
+            assert_eq!(found.map(|(o, e)| (o, e.offset)), Some((off, key)));
+            assert!(reads < budget, "lookup of the newest key made {reads} reads (budget {budget})");
+            keys.push(key);
+        }
+        let op = SubTx::unguarded(SubCtx { dev: &dev, layout: &layout, sub: 0 }).unwrap();
+        assert_eq!(op.active_levels().unwrap(), 5, "a free newest level needs no activation");
+        for &key in &keys {
+            assert!(lookup(&op, key).unwrap().is_some(), "key {key} lost");
+        }
+        for _ in 0..8 {
+            let absent = fresh_key();
+            assert!(lookup(&op, absent).unwrap().is_none(), "absent key {absent} found");
         }
     }
 

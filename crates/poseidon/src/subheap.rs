@@ -12,7 +12,7 @@ use crate::buddy;
 use crate::defrag;
 use crate::error::{PoseidonError, Result};
 use crate::hashtable;
-use crate::layout::{class_size, MIN_BLOCK, NUM_CLASSES, SH_UNDO_OFF};
+use crate::layout::{class_size, MAX_LEVELS, MIN_BLOCK, NUM_CLASSES, SH_UNDO_OFF};
 use crate::persist::{state, HashEntry, SubheapHeader, FLAG_CACHED, SUBHEAP_MAGIC};
 use crate::session::{SubTx, UndoScope};
 
@@ -311,7 +311,7 @@ pub(crate) fn publish_blocks(op: &SubTx<'_>, offsets: &[u64]) -> Result<()> {
 /// a strict subset flagged and the next load finishes the job. Returns
 /// the number of blocks relinked.
 pub(crate) fn reclaim_cached(op: &SubTx<'_>) -> Result<u64> {
-    let active = (op.active_levels()? as usize).min(crate::layout::MAX_LEVELS);
+    let active = (op.active_levels()? as usize).min(MAX_LEVELS);
     let mut reclaimed = 0u64;
     let mut scope = op.undo()?;
     for level in 0..active {
@@ -393,6 +393,10 @@ pub struct SubheapAudit {
     pub alloc_blocks: u64,
     /// Active hash-table levels.
     pub active_levels: u64,
+    /// Live records per hash-table level (level `k` holds `c0 << k`
+    /// slots, see [`HeapLayout::level_capacity`](crate::HeapLayout::level_capacity));
+    /// zero past `active_levels`.
+    pub level_live: [u64; MAX_LEVELS],
     /// Tombstoned (merged-away) records awaiting slot reuse.
     pub tombstones: u64,
     /// Blocks quarantined after media errors (neither free nor
@@ -412,6 +416,7 @@ impl Default for SubheapAudit {
             alloc_bytes: 0,
             alloc_blocks: 0,
             active_levels: 0,
+            level_live: [0; MAX_LEVELS],
             tombstones: 0,
             quarantined_blocks: 0,
             quarantined_bytes: 0,
@@ -475,7 +480,8 @@ pub(crate) fn audit_with(op: &SubTx<'_>, residency: impl Fn(u64) -> CacheResiden
     let mut by_offset: BTreeMap<u64, HashEntry> = BTreeMap::new();
     let mut slot_of: BTreeMap<u64, u64> = BTreeMap::new();
     let mut tombstones = 0u64;
-    for level in 0..active.min(crate::layout::MAX_LEVELS) {
+    let mut level_live = [0u64; MAX_LEVELS];
+    for (level, level_out) in level_live.iter_mut().enumerate().take(active) {
         let mut live = 0u64;
         let mut sum = 0u64;
         let base = op.ctx.layout.level_base(op.ctx.sub, level);
@@ -504,6 +510,7 @@ pub(crate) fn audit_with(op: &SubTx<'_>, residency: impl Fn(u64) -> CacheResiden
         if counted != live {
             return Err(PoseidonError::Corrupted("level live count mismatch"));
         }
+        *level_out = live;
         // The identity checksum is an independent witness for the count:
         // a zeroed count over a zeroed level passes the check above, but
         // only a level that truly never held these records XORs to the
@@ -514,7 +521,8 @@ pub(crate) fn audit_with(op: &SubTx<'_>, residency: impl Fn(u64) -> CacheResiden
         }
     }
     // Non-overlap and bounds.
-    let mut audit_out = SubheapAudit { active_levels: active as u64, tombstones, ..Default::default() };
+    let mut audit_out =
+        SubheapAudit { active_levels: active as u64, level_live, tombstones, ..Default::default() };
     let mut cursor = 0u64;
     for (&off, e) in &by_offset {
         if off < cursor {

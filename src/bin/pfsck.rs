@@ -255,6 +255,9 @@ fn main() -> ExitCode {
             );
         }
         if verbose {
+            for (level, &live) in audit.level_live.iter().enumerate().take(audit.active_levels as usize) {
+                println!("             level {level}: {live}/{}", heap.layout().level_capacity(level));
+            }
             for (class, &count) in audit.free_by_class.iter().enumerate() {
                 if count > 0 {
                     println!("             class {class:>2} ({:>9} B): {count} free", 32u64 << class);

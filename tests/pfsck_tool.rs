@@ -38,6 +38,36 @@ fn clean_pool_passes() {
     assert!(stdout.contains("clean shutdown"), "{stdout}");
     assert!(stdout.contains("— OK"), "{stdout}");
     assert!(stdout.contains("root     : nvmptr("), "{stdout}");
+    // Verbose mode prints each active hash-table level's occupancy as
+    // `level k: live/capacity`, one line per level the sub-heap line
+    // counts; the live counts add up to the sub-heap's blocks.
+    let lines: Vec<&str> = stdout.lines().collect();
+    let c0: u64 = stdout
+        .split_once("level-0 table ")
+        .and_then(|(_, rest)| rest.split_whitespace().next())
+        .and_then(|n| n.parse().ok())
+        .expect(&stdout);
+    let mut subheaps = 0;
+    for (i, line) in lines.iter().enumerate().filter(|(_, l)| l.starts_with("subheap ")) {
+        subheaps += 1;
+        let field = |suffix: &str| -> u64 {
+            let words: Vec<&str> = line.split_whitespace().collect();
+            let at = words.iter().position(|w| w.starts_with(suffix)).expect(line);
+            words[at - 1].parse().expect(line)
+        };
+        let (blocks, levels) = (field("blocks"), field("levels"));
+        let mut live_total = 0;
+        for (k, level_line) in lines[i + 1..=i + levels as usize].iter().enumerate() {
+            let occupancy = level_line.trim().strip_prefix(&format!("level {k}: ")).expect(level_line);
+            let (live, capacity) = occupancy.split_once('/').expect(level_line);
+            let (live, capacity): (u64, u64) = (live.parse().unwrap(), capacity.parse().unwrap());
+            assert!(live <= capacity, "{level_line}");
+            assert_eq!(capacity, c0 << k, "{level_line}");
+            live_total += live;
+        }
+        assert_eq!(live_total, blocks, "{stdout}");
+    }
+    assert!(subheaps > 0, "{stdout}");
     std::fs::remove_file(&path).unwrap();
 }
 
