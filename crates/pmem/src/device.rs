@@ -755,8 +755,10 @@ impl PmemDevice {
 
     /// Returns the pages covering `[offset, offset + len)` to the sparse
     /// store (the `fallocate` hole-punch analogue): fully covered 2 MiB
-    /// backing chunks are dematerialised and the rest is zeroed. The hole
-    /// is durable immediately, like the syscall. Returns released bytes.
+    /// backing chunks are dematerialised and the partial edges of
+    /// resident chunks are zeroed in place. A punch never materialises
+    /// memory: an unmaterialised edge already reads as zero. The hole is
+    /// durable immediately, like the syscall. Returns released bytes.
     ///
     /// # Errors
     ///

@@ -25,6 +25,8 @@
 //! * **Sparse capacity and hole punching** — backing memory materialises on
 //!   first write and can be returned with [`PmemDevice::punch_hole`]
 //!   (the `fallocate` analogue Poseidon uses to shrink unused metadata).
+//!   Punching never materialises memory: it drops fully covered chunks
+//!   and zeroes only the edges that are already resident.
 //! * **Crash-point injection** — [`PmemDevice::arm_crash_after`] makes the
 //!   device fail after the *n*-th mutation event, so property tests can
 //!   crash an allocator at every edge of an operation.

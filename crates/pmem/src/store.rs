@@ -4,7 +4,9 @@
 //! write (reads of unmaterialised chunks observe zeros), and
 //! [`punch`](ChunkStore::punch) returns a chunk to the store — the analogue
 //! of `fallocate(FALLOC_FL_PUNCH_HOLE)` on a DAX file, which Poseidon uses
-//! to keep unused hash-table levels free (§5.6).
+//! to keep unused hash-table levels free (§5.6). A punch only ever
+//! releases memory: it zeroes partial edges of resident chunks in place
+//! and leaves unmaterialised ones alone.
 //!
 //! Chunk payloads are arrays of `AtomicU64` words accessed with relaxed
 //! loads/stores (plus CAS read-modify-write at unaligned edges), so
@@ -144,34 +146,22 @@ impl ChunkStore {
     }
 
     /// Dematerialises every chunk fully covered by `[offset, offset+len)`
-    /// and zero-fills the partial edges. Returns the number of bytes
-    /// returned to the store.
+    /// and zeroes the partial edges of resident chunks in place. Never
+    /// materialises anything: an unmaterialised edge already reads as
+    /// zero. Returns the number of bytes returned to the store.
     pub(crate) fn punch(&self, offset: u64, len: u64) -> u64 {
         let mut released = 0;
-        let end = offset + len;
-        // Zero partial edges first so the punched range reads as zeros; the
-        // fully covered chunks in between are dematerialised below.
-        let first_full = offset.next_multiple_of(CHUNK_SIZE);
-        let last_full = (end / CHUNK_SIZE * CHUNK_SIZE).max(first_full);
-        if offset < first_full.min(end) {
-            let head = (first_full.min(end) - offset) as usize;
-            self.write(offset, &vec![0u8; head]);
-        }
-        if last_full < end && last_full >= offset.max(first_full) {
-            self.write(last_full, &vec![0u8; (end - last_full) as usize]);
-        }
-        let mut chunk = first_full;
-        while chunk + CHUNK_SIZE <= end {
-            let index = (chunk / CHUNK_SIZE) as usize;
-            if let Some(slot) = self.slot(index) {
-                let mut guard = slot.write();
-                if guard.take().is_some() {
+        self.for_each_segment_len(offset, len as usize, |chunk_index, in_chunk, range| {
+            let Some(slot) = self.slot(chunk_index) else { return };
+            if range.len() == CHUNK_SIZE as usize {
+                if slot.write().take().is_some() {
                     self.resident_bytes.fetch_sub(CHUNK_SIZE, Ordering::Relaxed);
                     released += CHUNK_SIZE;
                 }
+            } else if let Some(chunk) = slot.read().as_deref() {
+                chunk_zero(&chunk.words, in_chunk, range.len());
             }
-            chunk += CHUNK_SIZE;
-        }
+        });
         released
     }
 
@@ -249,6 +239,27 @@ fn chunk_write(words: &[AtomicU64], start: usize, buf: &[u8]) {
     }
 }
 
+/// Zeroes bytes `[start, start + len)` of a chunk: relaxed stores for
+/// whole words, a masked read-modify-write for partial edge words.
+fn chunk_zero(words: &[AtomicU64], start: usize, len: usize) {
+    let end = start + len;
+    let (first, last) = (start.div_ceil(8), end / 8);
+    if first > last {
+        // Strictly inside one word.
+        rmw_bytes(&words[start / 8], start % 8, &[0; 8][..len]);
+        return;
+    }
+    if !start.is_multiple_of(8) {
+        rmw_bytes(&words[start / 8], start % 8, &[0; 8][..8 - start % 8]);
+    }
+    for word in &words[first..last] {
+        word.store(0, Ordering::Relaxed);
+    }
+    if !end.is_multiple_of(8) {
+        rmw_bytes(&words[last], 0, &[0; 8][..end % 8]);
+    }
+}
+
 /// Atomically replaces bytes `[byte_off, byte_off + bytes.len())` of a word
 /// without disturbing its other bytes.
 fn rmw_bytes(word: &AtomicU64, byte_off: usize, bytes: &[u8]) {
@@ -319,6 +330,56 @@ mod tests {
         assert_eq!(b, [1]); // untouched prefix
         store.read(2 * CHUNK_SIZE, &mut b);
         assert_eq!(b, [1]); // untouched suffix
+    }
+
+    #[test]
+    fn punch_zeroes_exactly_the_tail_edge() {
+        let store = ChunkStore::new(4 * CHUNK_SIZE);
+        store.write(0, &vec![1u8; (3 * CHUNK_SIZE) as usize]);
+        // Punch from the start of chunk 1 to an unaligned point in chunk 2.
+        let last_full = 2 * CHUNK_SIZE;
+        let end = last_full + CHUNK_SIZE / 2 + 3;
+        assert_eq!(store.punch(CHUNK_SIZE, end - CHUNK_SIZE), CHUNK_SIZE);
+        assert!(!store.is_resident(1));
+        assert!(store.is_resident(2));
+        let mut tail = vec![0xFFu8; (end - last_full) as usize];
+        store.read(last_full, &mut tail);
+        assert!(tail.iter().all(|&b| b == 0), "[last_full, end) reads as zero");
+        let mut b = [0u8; 1];
+        store.read(end, &mut b);
+        assert_eq!(b, [1]); // the byte at `end` is untouched
+        store.read(CHUNK_SIZE - 1, &mut b);
+        assert_eq!(b, [1]); // untouched prefix
+    }
+
+    #[test]
+    fn punch_zeroes_unaligned_edges_byte_exactly() {
+        let store = ChunkStore::new(CHUNK_SIZE);
+        for (offset, len) in [(3u64, 2u64), (9, 14), (16, 5), (27, 5), (40, 8)] {
+            store.write(0, &[0xAB; 64]);
+            assert_eq!(store.punch(offset, len), 0);
+            let mut buf = [0u8; 64];
+            store.read(0, &mut buf);
+            for (i, &b) in buf.iter().enumerate() {
+                let punched = (offset..offset + len).contains(&(i as u64));
+                assert_eq!(b, if punched { 0 } else { 0xAB }, "byte {i} after punch({offset}, {len})");
+            }
+        }
+    }
+
+    #[test]
+    fn punch_never_materialises_unwritten_edges() {
+        let store = ChunkStore::new(4 * CHUNK_SIZE);
+        store.write(3 * CHUNK_SIZE, &[7]);
+        // Head edge in chunk 0, chunk 1 fully covered, tail edge in
+        // chunk 2: none of them was ever written.
+        let (offset, len) = (CHUNK_SIZE / 2 + 5, 2 * CHUNK_SIZE - 11);
+        assert_eq!(store.punch(offset, len), 0);
+        assert_eq!(store.resident_bytes(), CHUNK_SIZE);
+        assert!(!store.is_resident(0) && !store.is_resident(2));
+        let mut buf = vec![0xFFu8; len as usize];
+        store.read(offset, &mut buf);
+        assert!(buf.iter().all(|&b| b == 0));
     }
 
     #[test]

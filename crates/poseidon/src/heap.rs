@@ -1431,6 +1431,22 @@ mod tests {
     }
 
     #[test]
+    fn huge_alloc_and_free_read_the_extent_table_once() {
+        // Each huge operation reads its 1,024-slot extent table in one
+        // view read, so its device reads stay a small constant rather
+        // than one per slot.
+        let h = heap();
+        let reads = || h.device().stats().read_ops;
+        let before = reads();
+        let p = h.alloc(h.layout().max_alloc() + 1).unwrap();
+        let after_alloc = reads();
+        h.free(p).unwrap();
+        let after_free = reads();
+        assert!(after_alloc - before < 16, "huge alloc made {} reads", after_alloc - before);
+        assert!(after_free - after_alloc < 16, "huge free made {} reads", after_free - after_alloc);
+    }
+
+    #[test]
     fn huge_pointers_are_rejected_without_a_huge_region() {
         // A device below the carve-out threshold has no huge region: the
         // sentinel sub-heap id is an ordinary BadSubheap there.

@@ -14,10 +14,11 @@
 //! belongs to exactly one `FREE`, `ALLOC`, or `QUARANTINED` extent.
 //! Physical slot order is arbitrary (slots are claimed and vacated as
 //! extents split and coalesce); the sorted view is reconstructed by
-//! scanning. Because allocated extents are recorded too, `free` and
-//! `block_size` validate huge pointers exactly like sub-heap pointers:
-//! double frees and invalid frees are rejected before they can corrupt
-//! the table.
+//! scanning; a scan reads the whole table once ([`HugeTx::slots`]), before
+//! its first store, and iterates that snapshot. Because allocated extents
+//! are recorded too, `free` and `block_size` validate huge pointers
+//! exactly like sub-heap pointers: double frees and invalid frees are
+//! rejected before they can corrupt the table.
 //!
 //! Allocation is first fit over the *lowest-offset* free extent that
 //! fits (page-granular), splitting off the remainder; freeing coalesces
@@ -146,13 +147,8 @@ pub(crate) fn extend_to_layout(op: &HugeTx<'_>) -> Result<u64> {
     if recorded >= target {
         return Ok(0);
     }
-    let mut vacant = Vec::new();
-    for i in 0..HUGE_EXTENT_SLOTS {
-        if op.slot(i)?.state == state::EMPTY {
-            vacant.push(i);
-        }
-    }
-    let mut spare = vacant.into_iter();
+    let table = op.slots()?;
+    let mut spare = (0..HUGE_EXTENT_SLOTS).filter(|&i| table[i].state == state::EMPTY);
     let mut scope = op.undo()?;
     let mut added = 0u64;
     for band in op.ctx.layout.huge_bands() {
@@ -202,8 +198,7 @@ pub(crate) fn alloc(op: &HugeTx<'_>, size: u64, micro: Option<MicroHook>) -> Res
     let mut best: Option<(usize, ExtentRecord)> = None;
     let mut largest_free = 0u64;
     let mut vacant = None;
-    for i in 0..HUGE_EXTENT_SLOTS {
-        let rec = op.slot(i)?;
+    for (i, &rec) in op.slots()?.iter().enumerate() {
         if rec.state == state::EMPTY {
             if vacant.is_none() {
                 vacant = Some(i);
@@ -268,9 +263,11 @@ pub(crate) fn alloc(op: &HugeTx<'_>, size: u64, micro: Option<MicroHook>) -> Res
 /// [`PoseidonError::InvalidFree`] if no allocated extent starts at
 /// `offset` (including quarantined ones).
 pub(crate) fn free(op: &HugeTx<'_>, offset: u64) -> Result<u64> {
+    // One table read serves both the target scan and the neighbour scan:
+    // nothing is stored before the neighbour scan ends.
+    let table = op.slots()?;
     let mut target = None;
-    for i in 0..HUGE_EXTENT_SLOTS {
-        let rec = op.slot(i)?;
+    for (i, &rec) in table.iter().enumerate() {
         if rec.state == state::EMPTY || rec.offset != offset {
             continue;
         }
@@ -305,8 +302,7 @@ pub(crate) fn free(op: &HugeTx<'_>, offset: u64) -> Result<u64> {
         .ok_or(PoseidonError::Corrupted("huge extent outside every band"))?;
     let mut prev = None;
     let mut next = None;
-    for i in 0..HUGE_EXTENT_SLOTS {
-        let r = op.slot(i)?;
+    for (i, &r) in table.iter().enumerate() {
         if r.state != state::FREE {
             continue;
         }
@@ -337,13 +333,7 @@ pub(crate) fn free(op: &HugeTx<'_>, offset: u64) -> Result<u64> {
 
 /// Finds the live extent starting at exactly `offset` (any state).
 pub(crate) fn lookup(op: &HugeTx<'_>, offset: u64) -> Result<Option<ExtentRecord>> {
-    for i in 0..HUGE_EXTENT_SLOTS {
-        let rec = op.slot(i)?;
-        if rec.state != state::EMPTY && rec.offset == offset {
-            return Ok(Some(rec));
-        }
-    }
-    Ok(None)
+    Ok(op.slots()?.iter().find(|rec| rec.state != state::EMPTY && rec.offset == offset).copied())
 }
 
 /// Splits poisoned spans out of free extents, quarantining them
@@ -361,8 +351,7 @@ pub(crate) fn quarantine_poisoned(op: &HugeTx<'_>, poison: &[PoisonRange]) -> Re
     loop {
         let mut found = None;
         let mut vacant = Vec::new();
-        for i in 0..HUGE_EXTENT_SLOTS {
-            let rec = op.slot(i)?;
+        for (i, &rec) in op.slots()?.iter().enumerate() {
             if rec.state == state::EMPTY {
                 vacant.push(i);
                 continue;
@@ -451,8 +440,7 @@ pub struct HugeAudit {
 /// [`PoseidonError::Corrupted`] naming the violated invariant.
 pub(crate) fn audit(op: &HugeTx<'_>) -> Result<HugeAudit> {
     let mut live = Vec::new();
-    for i in 0..HUGE_EXTENT_SLOTS {
-        let rec = op.slot(i)?;
+    for &rec in op.slots()?.iter() {
         if rec.state == state::EMPTY {
             continue;
         }

@@ -47,7 +47,7 @@ use crate::defrag;
 use crate::error::{OpKind, PoseidonError, Result};
 use crate::hashtable;
 use crate::heap::PoseidonHeap;
-use crate::layout::{class_for_size, class_size, HUGE_EXTENT_SLOTS, NUM_CLASSES};
+use crate::layout::{class_for_size, class_size, NUM_CLASSES};
 use crate::persist::{state, FLAG_CACHED};
 
 /// Free-space accounting for one buddy size class of one sub-heap.
@@ -278,11 +278,7 @@ impl PoseidonHeap {
         }
         let op = self.begin_huge_read()?;
         let mut frag = HugeFrag::default();
-        for i in 0..HUGE_EXTENT_SLOTS {
-            let rec = op.slot(i)?;
-            if rec.state != state::FREE {
-                continue;
-            }
+        for rec in op.slots()?.iter().filter(|rec| rec.state == state::FREE) {
             frag.free_extents += 1;
             frag.free_bytes += rec.len;
             frag.largest_free = frag.largest_free.max(rec.len);

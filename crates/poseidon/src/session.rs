@@ -47,10 +47,10 @@ use std::cell::RefCell;
 
 use mpk::PkruGuard;
 use pmem::contention::TrackedGuard;
-use pmem::{AccessKind, FlushBatch, MetaView};
+use pmem::{AccessKind, FlushBatch, MetaView, Pod};
 
 use crate::error::{PoseidonError, Result};
-use crate::layout::SB_REGION_SIZE;
+use crate::layout::{HUGE_EXTENT_SLOTS, SB_REGION_SIZE};
 use crate::persist::{ExtentRecord, HashEntry, HugeCtx, SbCtx, SubCtx};
 use crate::superblock;
 use crate::undo::{self, UndoArea, ENTRY_HEADER};
@@ -259,9 +259,13 @@ impl<'a> HugeTx<'a> {
         Self::map(ctx, ctx.meta_base(), AccessKind::Read, Some(lock), None)
     }
 
-    /// Reads extent-table slot `slot` (overlay-patched).
-    pub fn slot(&self, slot: usize) -> Result<ExtentRecord> {
-        self.read_pod(self.ctx.slot_off(slot))
+    /// Reads the whole extent table in one overlay-patched view read.
+    /// Scans iterate this snapshot instead of reading slot by slot; a
+    /// scan that stores must take it before its first store.
+    pub fn slots(&self) -> Result<Box<[ExtentRecord; HUGE_EXTENT_SLOTS]>> {
+        let mut table = Box::new([ExtentRecord::zeroed(); HUGE_EXTENT_SLOTS]);
+        self.read(self.ctx.slot_off(0), table.as_bytes_mut())?;
+        Ok(table)
     }
 }
 
@@ -533,6 +537,22 @@ mod tests {
         scope.commit().unwrap();
         assert_eq!(tx.view().read_pod::<u64>(target).unwrap(), 0x5A);
         assert_eq!(tx.read_pod::<u64>(target).unwrap(), 0x5A);
+    }
+
+    #[test]
+    fn huge_slots_observe_the_open_scope() {
+        let (dev, layout) = setup();
+        let ctx = HugeCtx { dev: &dev, layout: &layout };
+        crate::hugeregion::format(&dev, &layout).unwrap();
+        let tx = HugeTx::unguarded(ctx).unwrap();
+        let staged = ExtentRecord { offset: 4096, len: 8192, state: 7, _pad: 0, _reserved: 0 };
+        let mut scope = tx.undo().unwrap();
+        scope.log_and_write_pod(ctx.slot_off(5), &staged).unwrap();
+        assert_eq!(tx.view().read_pod::<ExtentRecord>(ctx.slot_off(5)).unwrap().len, 0);
+        let table = tx.slots().unwrap();
+        assert_eq!((table[5].offset, table[5].len, table[5].state), (4096, 8192, 7));
+        scope.abort().unwrap();
+        assert_eq!(tx.slots().unwrap()[5].len, 0);
     }
 
     #[test]

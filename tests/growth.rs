@@ -83,6 +83,20 @@ fn pool_grows_online_to_4gib_while_serving_allocations() {
     heap.audit().unwrap();
 }
 
+/// Sparse cost of creation: a fresh 256 MiB pool holding one small
+/// object touches only the chunks its metadata writes land in. Hole
+/// punches during formatting (undo areas, unused hash-table levels) must
+/// not materialise the chunks their edges fall into.
+#[test]
+fn creating_an_almost_empty_pool_touches_only_metadata() {
+    let dev = Arc::new(PmemDevice::new(DeviceConfig::new(256 * MIB).growable_to(4 * GIB)));
+    let heap = PoseidonHeap::create(dev.clone(), HeapConfig::new().with_subheaps(4)).unwrap();
+    let anchor = heap.alloc(64).unwrap();
+    let resident = dev.resident_bytes();
+    assert!(resident <= 4 * MIB, "creation touched {} KiB", resident >> 10);
+    heap.free(anchor).unwrap();
+}
+
 /// A full home sub-heap spills into sub-heaps materialised by a grow:
 /// the pool serves more data than the creation geometry could hold.
 #[test]
