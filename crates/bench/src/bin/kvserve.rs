@@ -7,6 +7,10 @@
 //!         [--value-size B] [--events kill,poison,grow] [--maint N]
 //! ```
 //!
+//! `--maint N` is the background engine's budget per coordinator tick;
+//! `--maint 0` turns the engine (and so its scrub half) off and cannot
+//! be combined with the `poison` event.
+//!
 //! Prints the per-interval latency table (p50/p99/p999 per op class),
 //! one line per injected event, and a final summary. Exits non-zero
 //! (panics) on any correctness violation: a lost acknowledged key, a
@@ -148,9 +152,14 @@ fn print_report(report: &SoakReport) {
     }
     let h = &report.health;
     println!(
-        "maintenance: {} steps, {} full passes, {} buddy merges, {} table levels shrunk, \
+        "engine: {} steps, {} full passes, {} scrub faults, {} buddy merges, {} table levels shrunk, \
          {} cached blocks trimmed",
-        h.maint_steps, h.maint_passes, h.maint_merges, h.maint_table_levels_shrunk, h.maint_blocks_trimmed
+        h.maint_steps,
+        h.maint_passes,
+        h.media_errors_during_scrub,
+        h.maint_merges,
+        h.maint_table_levels_shrunk,
+        h.maint_blocks_trimmed
     );
 
     println!("\n## totals");
@@ -174,12 +183,10 @@ fn print_report(report: &SoakReport) {
     );
     let h = &report.health;
     println!(
-        "health: {} live media errors, {} blocks quarantined live ({} durable), {} scrub steps, \
-         {} poisoned lines left",
+        "health: {} live media errors, {} blocks quarantined live ({} durable), {} poisoned lines left",
         h.live_media_errors(),
         h.blocks_quarantined_live,
         report.quarantined_blocks,
-        h.scrub_steps,
         h.poisoned_lines
     );
     println!(

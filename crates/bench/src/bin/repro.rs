@@ -192,9 +192,9 @@ fn digest() {
     // Self-healing digest: a fixed fault-injection sequence — one
     // metadata line condemning a sub-heap wholesale, a spread of
     // user-data lines promoted at block granularity — driven through
-    // two full scrubber passes. The folded health census is a pure
+    // two full engine passes. The folded health census is a pure
     // function of the seed and the healing policy, so any change to
-    // quarantine granularity, scrubber order, or failover accounting
+    // quarantine granularity, visit order, or failover accounting
     // shows up here before it shows up as a broken recovery.
     const HEAL_SEED: u64 = 0x4EA1;
     let dev = Arc::new(PmemDevice::new(DeviceConfig::bench(256 << 20)));
@@ -216,9 +216,9 @@ fn digest() {
             dev.poison(heap.layout().user_base(sub) + 64 * rng.below(4096), 1).expect("user poison");
         }
     }
-    let mut total = poseidon::ScrubStep::default();
+    let mut total = poseidon::MaintStep::default();
     while total.passes_completed < 2 {
-        total.absorb(&heap.scrub_step(1).expect("scrub step"));
+        total.absorb(&heap.maint_tick(1).expect("engine tick").expect("poison schedules the engine"));
     }
     let health = heap.health();
     let mut fold = StreamDigest::new();
@@ -228,15 +228,15 @@ fn digest() {
     fold.update(health.subheaps_condemned_live);
     fold.update(health.blocks_quarantined_live);
     fold.update(health.media_errors_during_scrub);
-    fold.update(total.units_examined);
-    println!("\n## Self-healing digest (1 metadata + 16 user-data faults, 2 scrub passes)");
+    fold.update(total.units_visited);
+    println!("\n## Self-healing digest (1 metadata + 16 user-data faults, 2 engine passes)");
     println!("{:<12} {:>#18x} {:>#20x}", "self-heal", HEAL_SEED, fold.finish());
     println!(
-        "  health: {} sub-heaps frozen, {} free blocks quarantined live, {} scrub faults, {} units examined",
+        "  health: {} sub-heaps frozen, {} free blocks quarantined live, {} scrub faults, {} units visited",
         health.quarantined_subheaps,
         health.blocks_quarantined_live,
         health.media_errors_during_scrub,
-        total.units_examined
+        total.units_visited
     );
 
     // Sparse-cost digest: creating and then growing an almost-empty
@@ -756,17 +756,17 @@ fn ablation(options: &Options) {
         );
     }
 
-    // (e) Self-healing scrubber: time-to-detect a poisoned free block,
+    // (e) The engine's scrub half: time-to-detect a poisoned free block,
     // in serving operations. The allocator never reads user bytes, so
-    // without the scrubber user-data poison on a free block sits
+    // without the engine user-data poison on a free block sits
     // undetected until the block is reallocated into someone's hands;
-    // with the scrubber, detection latency is bounded by the budget.
+    // with it, detection latency is bounded by the tick interval (a
+    // tick visits units until it commits its budget or sees a clean
+    // cycle).
     println!("\n## Ablation — scrubber time-to-detect (poisoned free block under a 256B serving mix)");
-    println!("{:>16} {:>16} {:>20}", "scrubber", "ops to detect", "scrub units spent");
+    println!("{:>16} {:>16} {:>20}", "engine ticks", "ops to detect", "units visited");
     let max_ops = 20_000u64;
-    for (name, every, budget) in
-        [("off", 0u64, 0usize), ("1 unit/64 ops", 64, 1), ("1 unit/8 ops", 8, 1), ("4 units/8 ops", 8, 4)]
-    {
+    for (name, every) in [("off", 0u64), ("1/512 ops", 512), ("1/64 ops", 64), ("1/8 ops", 8)] {
         let dev = Arc::new(PmemDevice::new(DeviceConfig::bench(1 << 30)));
         let heap = PoseidonHeap::create(dev.clone(), HeapConfig::new().with_subheaps(4)).expect("heap");
         pmem::numa::set_current_cpu(0);
@@ -789,8 +789,8 @@ fn ablation(options: &Options) {
                 live.push(p);
             }
             if every != 0 && op % every == 0 {
-                let step = heap.scrub_step(budget).expect("scrub step");
-                units += step.units_examined;
+                let step = heap.maint_tick(1).expect("engine tick").expect("poison schedules the engine");
+                units += step.units_visited;
                 if step.blocks_quarantined > 0 {
                     detected = Some(op);
                     break;

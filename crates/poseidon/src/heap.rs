@@ -172,7 +172,8 @@ pub struct PoseidonHeap {
     pub(crate) huge_quarantined: AtomicBool,
     recovery: RecoveryReport,
     pub(crate) ops: OpCounters,
-    /// Self-healing counters and the scrubber cursor ([`crate::selfheal`]).
+    /// Self-healing counters and the background engine's cursor
+    /// ([`crate::selfheal`], [`crate::maintenance`]).
     pub(crate) health: HealthCounters,
     /// The transient caching layer ([`crate::frontend`]); `None` when
     /// disabled via [`HeapConfig::without_cache`].

@@ -31,9 +31,10 @@
 //! damaged metadata. Faults that strike *while serving* are handled
 //! online: the operation aborts through its undo log, the damaged unit is
 //! live-quarantined persistently, allocations fail over to healthy
-//! sub-heaps, and a budgeted background scrubber
-//! ([`PoseidonHeap::scrub_step`]) promotes latent poison to quarantine
-//! before a user thread trips on it — see [`PoseidonHeap::health`].
+//! sub-heaps, and the budgeted background engine
+//! ([`PoseidonHeap::maint_tick`]) scrubs latent poison into quarantine
+//! before a user thread trips on it, then coalesces the free buddies the
+//! free path left unmerged — see [`PoseidonHeap::health`].
 //!
 //! This implementation runs on the [`pmem`] simulated-NVMM substrate and
 //! the [`mpk`] simulated protection keys (see those crates and `DESIGN.md`
@@ -105,5 +106,5 @@ pub use maintenance::{ClassFrag, FragmentationReport, HugeFrag, MaintStep, Subhe
 pub use nvmptr::{NvmPtr, MAX_OFFSET};
 pub use recovery::RecoveryReport;
 pub use repair::{repair, RepairReport};
-pub use selfheal::{HeapHealth, ScrubStep};
+pub use selfheal::HeapHealth;
 pub use subheap::SubheapAudit;

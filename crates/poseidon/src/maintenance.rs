@@ -1,18 +1,25 @@
-//! Background maintenance engine: budgeted incremental defragmentation
-//! driven by live fragmentation statistics.
+//! The background engine: budgeted incremental scrubbing and
+//! defragmentation driven by live fault and fragmentation statistics.
 //!
 //! The whole-heap [`defragment`](PoseidonHeap::defragment) pass is a
 //! stop-the-world affair — unusable inside a serving loop. This module
-//! is the incremental replacement, shaped like the scrubber
-//! ([`PoseidonHeap::scrub_step`]): a session-persistent cursor walks the
-//! same unit partition (one unit per sub-heap, plus one for the huge
-//! region) and each [`maint_step`](PoseidonHeap::maint_step) performs at
-//! most `budget` bounded *units of work* before returning.
+//! is the incremental replacement, and the heap's only background
+//! worker: a session-persistent cursor walks the unit partition (one
+//! unit per sub-heap, plus one for the huge region) and each
+//! [`maint_step`](PoseidonHeap::maint_step) performs at most `budget`
+//! bounded *units of work* before returning.
 //!
-//! A unit of work is one committed metadata operation under the ordinary
-//! two-fence undo discipline, so a crash after any unit recovers exactly
-//! like a crash after any alloc or free:
+//! Every unit visit has two halves. The **scrub half** runs first: it
+//! checks the unit against the device's poison list (one snapshot per
+//! step) and promotes latent damage to quarantine before a user thread
+//! trips on it — metadata poison condemns the sub-heap (or the huge
+//! region) wholesale, data poison quarantines the overlapping free
+//! blocks or extents (see [`crate::selfheal`]). The **merge half**
+//! follows. A unit of work is one committed metadata operation under the
+//! ordinary two-fence undo discipline, so a crash after any unit recovers
+//! exactly like a crash after any alloc or free:
 //!
+//! * **condemnation** or a **quarantine walk** that promoted something;
 //! * **buddy merge** — one [`defrag::merge_once`] scope: unlink both
 //!   halves, delete the loser's record, push the doubled survivor;
 //! * **table shrink** — one [`hashtable::shrink_one`] scope: retire the
@@ -21,26 +28,28 @@
 //!   the free lists (only under pressure: trimming a warm cache costs
 //!   fast-path hits), which re-arms them for merging.
 //!
-//! The huge region needs no active work — extent coalescing is eager up
-//! to band walls on every huge free — so its unit is a read-only scan
-//! that refreshes the cached largest-free-extent figure
-//! ([`PoseidonHeap::huge_largest_free`]), fixing the historical wart
-//! that the figure was observable only inside a
-//! [`TooLarge`](crate::PoseidonError::TooLarge) failure.
+//! A clean visit costs no budget, and a step ends at its budget or after
+//! one clean cycle over every unit.
 //!
-//! **Trigger policy** ([`PoseidonHeap::maint_needed`]): the engine
-//! self-schedules from two inputs, mirroring how the growth pressure
-//! flag works. A `NoSpace`/`TooLarge` failure on the alloc paths sets a
-//! pressure flag (cleared by the first fully-clean maintenance pass),
-//! and the always-on fragmentation accounting
-//! ([`PoseidonHeap::fragmentation`]) caches watermark inputs: when a
-//! quarter of the sub-heap free bytes sit in buddy pairs that could
-//! merge but have not (the deferred-coalescing debt), maintenance is
-//! due. [`PoseidonHeap::maint_tick`] packages the policy check and the
-//! step for serving loops.
+//! The huge region needs no merge work — extent coalescing is eager up
+//! to band walls on every huge free — so its merge half is a read-only
+//! scan that refreshes the cached largest-free-extent figure
+//! ([`PoseidonHeap::huge_largest_free`]).
+//!
+//! **Trigger policy** ([`PoseidonHeap::maint_needed`]): one trigger with
+//! three inputs. A `NoSpace`/`TooLarge` failure on the alloc paths sets a
+//! pressure flag; the always-on fragmentation accounting
+//! ([`PoseidonHeap::fragmentation`]) caches watermark inputs (maintenance
+//! is due when a quarter of the sub-heap free bytes sit in buddy pairs
+//! that could merge but have not — the deferred-coalescing debt); and
+//! the device reports poisoned lines. A fully clean cycle lowers the
+//! pressure flag and zeroes the cached debt. [`PoseidonHeap::maint_tick`]
+//! packages the check and the step for serving loops: it scrubs whenever
+//! poison exists but merges only under pressure or the watermark.
 
 use std::sync::atomic::Ordering;
-use std::time::Instant;
+
+use pmem::PoisonRange;
 
 use crate::buddy;
 use crate::defrag;
@@ -49,6 +58,7 @@ use crate::hashtable;
 use crate::heap::PoseidonHeap;
 use crate::layout::{class_for_size, class_size, NUM_CLASSES};
 use crate::persist::{state, FLAG_CACHED};
+use crate::quarantine;
 
 /// Free-space accounting for one buddy size class of one sub-heap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -132,8 +142,8 @@ impl FragmentationReport {
     }
 }
 
-/// What one [`PoseidonHeap::maint_step`] (or an accumulated
-/// [`maint_until`](PoseidonHeap::maint_until) run) did.
+/// What one [`PoseidonHeap::maint_step`] (or an accumulated run of
+/// steps) did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MaintStep {
     /// Unit visits (a unit may be visited more than once per step if the
@@ -143,6 +153,16 @@ pub struct MaintStep {
     pub passes_completed: u64,
     /// Committed units of work — never exceeds the step's budget.
     pub work_units: u64,
+    /// Sub-heaps condemned wholesale (metadata poison found).
+    pub subheaps_condemned: u64,
+    /// Free blocks promoted to `QUARANTINED` (user-data poison found).
+    pub blocks_quarantined: u64,
+    /// Bytes covered by the promoted blocks and extents.
+    pub bytes_quarantined: u64,
+    /// Huge extents promoted to `QUARANTINED`.
+    pub extents_quarantined: u64,
+    /// Whether the step quarantined the huge region wholesale.
+    pub huge_region_quarantined: bool,
     /// Buddy merges committed.
     pub merges: u64,
     /// Bytes now covered by merged (doubled) blocks.
@@ -156,9 +176,9 @@ pub struct MaintStep {
     /// Huge-region scans performed (read-only; refresh the cached
     /// largest-free-extent figure).
     pub huge_scans: u64,
-    /// Whether the step observed a full clean cycle: every unit visited
-    /// back-to-back with no work left to do. The heap is as defragmented
-    /// as buddy merging can make it.
+    /// Whether the step ran its merge half and observed a full clean
+    /// cycle: every unit visited back-to-back with no work left to do.
+    /// The heap is as defragmented as buddy merging can make it.
     pub fully_defragged: bool,
 }
 
@@ -168,6 +188,11 @@ impl MaintStep {
         self.units_visited += other.units_visited;
         self.passes_completed += other.passes_completed;
         self.work_units += other.work_units;
+        self.subheaps_condemned += other.subheaps_condemned;
+        self.blocks_quarantined += other.blocks_quarantined;
+        self.bytes_quarantined += other.bytes_quarantined;
+        self.extents_quarantined += other.extents_quarantined;
+        self.huge_region_quarantined |= other.huge_region_quarantined;
         self.merges += other.merges;
         self.bytes_coalesced += other.bytes_coalesced;
         self.table_levels_shrunk += other.table_levels_shrunk;
@@ -318,12 +343,17 @@ impl PoseidonHeap {
         self.health.maint_pressure.store(true, Ordering::Release);
     }
 
-    /// Whether the trigger policy wants maintenance to run now: either
-    /// the alloc paths signalled space pressure, or the last
-    /// fragmentation sample found more than a quarter of the sub-heap
-    /// free bytes sitting in mergeable-but-unmerged buddy pairs. Two
-    /// atomic loads.
+    /// Whether the trigger policy wants the engine to run now: the alloc
+    /// paths signalled space pressure, the last fragmentation sample
+    /// found more than a quarter of the sub-heap free bytes sitting in
+    /// mergeable-but-unmerged buddy pairs, or the device reports poisoned
+    /// lines. A handful of atomic loads.
     pub fn maint_needed(&self) -> bool {
+        self.merge_due() || self.dev.poisoned_lines() > 0
+    }
+
+    /// The merge half of the trigger: pressure or the watermark.
+    fn merge_due(&self) -> bool {
         if self.health.maint_pressure.load(Ordering::Acquire) {
             return true;
         }
@@ -332,66 +362,105 @@ impl PoseidonHeap {
         free >= TRIGGER_MIN_FREE && frag.saturating_mul(4) >= free
     }
 
-    /// One self-scheduled maintenance increment: runs
-    /// [`maint_step`](Self::maint_step) only when
+    /// One self-scheduled engine increment: runs a step only when
     /// [`maint_needed`](Self::maint_needed) says the stats call for it.
-    /// Serving loops call this every tick and let the trigger policy
-    /// decide.
+    /// The step scrubs whenever poison exists but runs its merge half
+    /// only under pressure or the watermark. Serving loops call this
+    /// every tick and let the trigger policy decide; on a tidy heap it
+    /// returns `None` without touching the device.
     ///
     /// # Errors
     ///
     /// As [`maint_step`](Self::maint_step).
     pub fn maint_tick(&self, budget: usize) -> Result<Option<MaintStep>> {
-        if !self.maint_needed() {
+        let merge = self.merge_due();
+        if !merge && self.dev.poisoned_lines() == 0 {
             return Ok(None);
         }
-        self.maint_step(budget).map(Some)
+        self.run_step(budget, merge).map(Some)
     }
 
-    /// One budgeted maintenance increment: resumes at the engine's
-    /// cursor and commits at most `budget` units of work — buddy merges,
-    /// hash-table level retirements, and (under pressure) cache trims —
-    /// each under its own two-fence undo scope, so a crash after any
-    /// unit recovers cleanly. The huge region's unit is a read-only scan
-    /// refreshing [`huge_largest_free`](Self::huge_largest_free).
+    /// Forwards to [`maint_tick`](Self::maint_tick): the scrubber is the
+    /// engine's scrub half. Kept only because the repository benchmark
+    /// calls it; new code calls `maint_tick`.
+    #[doc(hidden)]
+    pub fn scrub_step(&self, budget: usize) -> Result<Option<MaintStep>> {
+        self.maint_tick(budget)
+    }
+
+    /// One budgeted engine increment: resumes at the engine's cursor and
+    /// commits at most `budget` units of work — condemnations and
+    /// quarantine walks that promoted damage, buddy merges, hash-table
+    /// level retirements, and (under pressure) cache trims — each under
+    /// its own two-fence undo scope, so a crash after any unit recovers
+    /// cleanly. Each unit visit scrubs before it merges. The huge
+    /// region's merge half is a read-only scan refreshing
+    /// [`huge_largest_free`](Self::huge_largest_free).
     ///
-    /// Returns early with `fully_defragged` set when a whole cycle over
-    /// every unit found nothing left to do; that also lowers the
-    /// pressure flag. Safe to call concurrently with serving traffic —
-    /// each unit takes only the ordinary per-sub-heap lock for its own
-    /// duration.
+    /// Always runs the merge half, whatever the trigger says. Returns
+    /// early with `fully_defragged` set when a whole cycle over every
+    /// unit found nothing left to do; that also lowers the pressure flag
+    /// and zeroes the cached debt. Safe to call concurrently with serving
+    /// traffic — each unit takes only the ordinary per-sub-heap lock for
+    /// its own duration.
     ///
     /// # Errors
     ///
-    /// Device errors. Media faults are attributed and quarantined
-    /// through the self-healing layer (counted as scrub-path errors)
-    /// before surfacing.
+    /// Device errors. A media fault the step trips is attributed and
+    /// quarantined through the self-healing layer (counted as a
+    /// scrub-path error) and ends the step early; it does not surface.
     pub fn maint_step(&self, budget: usize) -> Result<MaintStep> {
-        match self.maint_step_inner(budget) {
-            Err(e @ PoseidonError::MediaError { .. }) => {
-                let (e, _) = self.heal_media_error(e, OpKind::Scrub);
-                Err(e)
-            }
-            other => other,
-        }
+        self.run_step(budget, true)
     }
 
-    fn maint_step_inner(&self, budget: usize) -> Result<MaintStep> {
+    fn run_step(&self, budget: usize, merge: bool) -> Result<MaintStep> {
+        let mut step = MaintStep::default();
+        match self.walk(budget, merge, &mut step) {
+            // A fault the walk trips itself (say, on a line poisoned by
+            // one of its own stores) is contained like one the scrub half
+            // finds: the damaged unit is quarantined and the step ends.
+            Err(e @ PoseidonError::MediaError { .. }) => {
+                self.heal_media_error(e, OpKind::Scrub);
+            }
+            other => other?,
+        }
+        if step.fully_defragged {
+            // A clean cycle proves the debt is zero: lower both trigger
+            // inputs, or a converged engine keeps re-triggering itself
+            // until the next fragmentation sample.
+            self.health.maint_pressure.store(false, Ordering::Release);
+            self.health.maint_frag_bytes.store(0, Ordering::Relaxed);
+        }
+        self.health.maint_steps.fetch_add(1, Ordering::Relaxed);
+        self.health.maint_merges.fetch_add(step.merges, Ordering::Relaxed);
+        self.health.maint_levels_shrunk.fetch_add(step.table_levels_shrunk, Ordering::Relaxed);
+        self.health.maint_blocks_trimmed.fetch_add(step.cache_blocks_trimmed, Ordering::Relaxed);
+        Ok(step)
+    }
+
+    fn walk(&self, budget: usize, merge: bool, step: &mut MaintStep) -> Result<()> {
         let n = self.layout.num_subheaps() as u64;
         let units = n + u64::from(self.layout.huge_data_size() > 0);
         let budget = budget.max(1) as u64;
         let aggressive = self.health.maint_pressure.load(Ordering::Acquire);
-        let mut step = MaintStep::default();
+        let poison = self.dev.scrub();
         let mut clean = 0u64;
         while step.work_units < budget && clean < units {
             let raw = self.health.maint_cursor.load(Ordering::Relaxed);
             let unit = raw % units;
             step.units_visited += 1;
             let left = budget - step.work_units;
-            let (spent, drained) = if unit == n {
-                self.maint_huge_unit(&mut step)?
+            let (spent, drained) = if unit < n {
+                self.visit_sub_unit(unit as u16, left, merge, aggressive, &poison, step)?
             } else {
-                self.maint_sub_unit(unit as u16, left, aggressive, &mut step)?
+                // The huge region: scrub, then a read-only scan refreshing
+                // the largest-free-extent figure (extent coalescing is
+                // eager, so there is never merge work). Always drains.
+                let spent = self.scrub_huge_unit(&poison, step);
+                if merge && self.huge_fragmentation()?.is_some() {
+                    step.huge_scans += 1;
+                }
+                (spent, true)
             };
             step.work_units += spent;
             clean = if spent == 0 { clean + 1 } else { 0 };
@@ -411,32 +480,31 @@ impl PoseidonHeap {
                 }
             }
         }
-        step.fully_defragged = clean >= units;
-        if step.fully_defragged {
-            self.health.maint_pressure.store(false, Ordering::Release);
-        }
-        self.health.maint_steps.fetch_add(1, Ordering::Relaxed);
-        self.health.maint_merges.fetch_add(step.merges, Ordering::Relaxed);
-        self.health.maint_levels_shrunk.fetch_add(step.table_levels_shrunk, Ordering::Relaxed);
-        self.health.maint_blocks_trimmed.fetch_add(step.cache_blocks_trimmed, Ordering::Relaxed);
-        Ok(step)
+        step.fully_defragged = merge && clean >= units;
+        Ok(())
     }
 
-    /// Works sub-heap `sub` for up to `left` units. Returns the units
-    /// spent and whether the unit is *drained* (nothing left that the
-    /// remaining budget could not cover — i.e. the visit ended for lack
-    /// of work, not lack of budget).
-    fn maint_sub_unit(
+    /// Visits sub-heap `sub` with up to `left` units: the scrub half,
+    /// then (when `merge`) trim, merges and table shrinks. Returns the
+    /// units spent and whether the unit is *drained* (nothing left that
+    /// the remaining budget could not cover — i.e. the visit ended for
+    /// lack of work, not lack of budget).
+    fn visit_sub_unit(
         &self,
         sub: u16,
         left: u64,
+        merge: bool,
         aggressive: bool,
+        poison: &[PoisonRange],
         step: &mut MaintStep,
     ) -> Result<(u64, bool)> {
         if !self.sub_usable(sub) {
             return Ok((0, true));
         }
-        let mut spent = 0u64;
+        let mut spent = self.scrub_sub_unit(sub, poison, step);
+        if !merge || !self.sub_usable(sub) {
+            return Ok((spent, true));
+        }
         if aggressive && spent < left {
             // Trim: hand the sub-heap's cold cached blocks back to the
             // free lists so the merge scan below can coalesce them. One
@@ -493,38 +561,71 @@ impl PoseidonHeap {
         Ok((spent, spent < left))
     }
 
-    /// The huge region's unit: extent coalescing is eager up to band
-    /// walls on every free, so there is never merge work to commit here
-    /// — the unit is a read-only scan that refreshes the cached
-    /// largest-free-extent figure. Costs no budget and always drains.
-    fn maint_huge_unit(&self, step: &mut MaintStep) -> Result<(u64, bool)> {
-        if self.huge_fragmentation()?.is_some() {
-            step.huge_scans += 1;
+    /// The scrub half of a sub-heap visit: condemns the sub-heap on
+    /// metadata poison, or quarantines the free blocks overlapping
+    /// user-data poison. Returns the units spent: one when it condemned
+    /// or promoted something, zero on a clean visit.
+    fn scrub_sub_unit(&self, sub: u16, poison: &[PoisonRange], step: &mut MaintStep) -> u64 {
+        if poison.is_empty() {
+            return 0;
         }
-        Ok((0, true))
+        if quarantine::overlaps_any(poison, self.layout.meta_base(sub), self.layout.meta_size) {
+            // Metadata poison found before any user thread tripped on it.
+            return self.scrub_condemn(sub, step);
+        }
+        if !quarantine::overlaps_any(poison, self.layout.user_base(sub), self.layout.user_size) {
+            return 0;
+        }
+        match self.quarantine_poisoned_blocks_on(sub, poison) {
+            Ok((0, _)) => 0,
+            Ok((blocks, bytes)) => {
+                self.health.media_errors_scrub.fetch_add(1, Ordering::Relaxed);
+                step.blocks_quarantined += blocks;
+                step.bytes_quarantined += bytes;
+                1
+            }
+            // The walk itself hit damage: escalate to condemnation.
+            Err(_) => self.scrub_condemn(sub, step),
+        }
     }
 
-    /// Runs [`maint_step`](Self::maint_step) increments until the heap
-    /// is fully defragged or `deadline` passes, yielding between steps.
-    /// Returns the accumulated step; check its `fully_defragged` flag to
-    /// see which way the run ended.
-    ///
-    /// [`defragment`](Self::defragment) is this without a deadline on a
-    /// pressure-marked heap.
-    ///
-    /// # Errors
-    ///
-    /// As [`maint_step`](Self::maint_step).
-    pub fn maint_until(&self, deadline: Instant, budget: usize) -> Result<MaintStep> {
-        let mut total = MaintStep::default();
-        loop {
-            let step = self.maint_step(budget)?;
-            total.absorb(&step);
-            if step.fully_defragged || Instant::now() >= deadline {
-                return Ok(total);
-            }
-            std::thread::yield_now();
+    fn scrub_condemn(&self, sub: u16, step: &mut MaintStep) -> u64 {
+        self.health.media_errors_scrub.fetch_add(1, Ordering::Relaxed);
+        if self.condemn_subheap(sub).is_ok() {
+            step.subheaps_condemned += 1;
         }
+        1
+    }
+
+    /// The scrub half of the huge-region visit: quarantines the region
+    /// wholesale on extent-table poison, or the free extents overlapping
+    /// data poison. Returns the units spent, as
+    /// [`scrub_sub_unit`](Self::scrub_sub_unit).
+    fn scrub_huge_unit(&self, poison: &[PoisonRange], step: &mut MaintStep) -> u64 {
+        if poison.is_empty() || self.huge_quarantined.load(Ordering::Acquire) {
+            return 0;
+        }
+        if !quarantine::overlaps_any(poison, self.layout.huge_meta_base(), self.layout.huge_meta_size()) {
+            let any_band_hit =
+                self.layout.huge_bands().iter().any(|b| quarantine::overlaps_any(poison, b.phys, b.len));
+            if !any_band_hit {
+                return 0;
+            }
+            match self.quarantine_poisoned_extents(poison) {
+                Ok((0, _)) => return 0,
+                Ok((extents, bytes)) => {
+                    self.health.media_errors_scrub.fetch_add(1, Ordering::Relaxed);
+                    step.extents_quarantined += extents;
+                    step.bytes_quarantined += bytes;
+                    return 1;
+                }
+                Err(_) => {}
+            }
+        }
+        self.health.media_errors_scrub.fetch_add(1, Ordering::Relaxed);
+        self.huge_quarantined.store(true, Ordering::Release);
+        step.huge_region_quarantined = true;
+        1
     }
 }
 
@@ -534,7 +635,7 @@ mod tests {
     use crate::heap::HeapConfig;
     use crate::persist::SubCtx;
     use std::sync::Arc;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     use pmem::{DeviceConfig, PmemDevice};
 
@@ -594,15 +695,23 @@ mod tests {
     }
 
     #[test]
-    fn maint_until_converges_to_defragmented() {
+    fn maint_steps_converge_to_defragmented() {
         let h = uncached_heap(2);
         let hold = fragment(&h);
         for p in hold {
             h.free(p).unwrap();
         }
         let before = h.fragmentation().unwrap();
-        let total = h.maint_until(Instant::now() + Duration::from_secs(30), 4).unwrap();
-        assert!(total.fully_defragged, "maint_until hit the deadline instead of converging");
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut total = MaintStep::default();
+        loop {
+            let step = h.maint_step(4).unwrap();
+            total.absorb(&step);
+            if step.fully_defragged || Instant::now() >= deadline {
+                break;
+            }
+        }
+        assert!(total.fully_defragged, "maint_step loop hit the deadline instead of converging");
         assert!(total.merges > 0, "a fragmented heap must yield merges");
         let after = h.fragmentation().unwrap();
         assert!(
@@ -719,5 +828,89 @@ mod tests {
         assert!(total.cache_blocks_trimmed > 0, "pressure pass must trim the cold cache");
         assert!(!h.maint_needed(), "a clean pass must lower the pressure flag");
         h.audit().unwrap();
+    }
+
+    #[test]
+    fn maint_clean_cycle_lowers_the_watermark() {
+        // 16 MiB of freed-but-unmerged 64 KiB buddies trips the watermark;
+        // once the ticks converge, the clean cycle proves the debt is
+        // zero, so the trigger must go quiet without waiting for the next
+        // fragmentation sample.
+        let h = uncached_heap(1);
+        let batch: Vec<_> = (0..256).map(|_| h.alloc(64 << 10).unwrap()).collect();
+        for p in batch {
+            h.free(p).unwrap();
+        }
+        h.fragmentation().unwrap();
+        assert!(h.maint_needed(), "the coalescing debt must trip the watermark");
+        let mut ticks = 0u32;
+        loop {
+            let step = h.maint_tick(4).unwrap().expect("a due tick must step");
+            ticks += 1;
+            assert!(ticks < 100_000, "the ticks never converged");
+            if step.fully_defragged {
+                break;
+            }
+        }
+        assert!(!h.maint_needed(), "a converged engine keeps re-triggering itself");
+        assert_eq!(h.maint_tick(4).unwrap(), None);
+        assert_eq!(h.fragmentation().unwrap().frag_bytes(), 0);
+    }
+
+    #[test]
+    fn maint_step_scrubs_before_it_merges() {
+        // Eight 4 KiB neighbours freed together leave four buddy pairs
+        // unmerged; the first one's block is then poisoned. The scrub
+        // half must withdraw it before the merge half could fold it into
+        // a FREE parent, and the quarantine walk is charged to the budget.
+        let dev = Arc::new(PmemDevice::new(DeviceConfig::new(64 << 20).with_media_faults(true)));
+        let h = PoseidonHeap::open(dev.clone(), HeapConfig::new().with_subheaps(1).without_cache()).unwrap();
+        let ptrs: Vec<_> = (0..8).map(|_| h.alloc(4 << 10).unwrap()).collect();
+        let victim = h.raw_offset(ptrs[0]).unwrap();
+        for p in ptrs {
+            h.free(p).unwrap();
+        }
+        assert!(h.fragmentation().unwrap().frag_bytes() > 0, "no mergeable pairs staged");
+        dev.poison(victim, 1).unwrap();
+
+        let budget = 2;
+        let first = h.maint_step(budget).unwrap();
+        assert_eq!(first.blocks_quarantined, 1, "the first visit must scrub before it merges");
+        assert!(first.work_units <= budget as u64);
+        let mut total = first;
+        while !total.fully_defragged {
+            let step = h.maint_step(budget).unwrap();
+            assert!(
+                step.work_units <= budget as u64,
+                "step spent {} on a budget of {budget}",
+                step.work_units
+            );
+            total.absorb(&step);
+        }
+        assert_eq!(total.blocks_quarantined, 1, "the poisoned block was quarantined more than once");
+        assert!(total.merges > 0, "the clean pairs were not merged");
+        assert_eq!(h.fragmentation().unwrap().frag_bytes(), 0, "clean pairs left unmerged");
+        let audit = h.audit().unwrap();
+        assert_eq!(audit[0].1.quarantined_blocks, 1);
+        assert_eq!(audit[0].1.quarantined_bytes, 4 << 10, "the poisoned block was merged into a parent");
+    }
+
+    #[test]
+    fn maint_tick_on_a_tidy_heap_touches_no_device() {
+        // No poison, no pressure, no watermark: the serving-loop entry
+        // points (and the scrub_step forward) must be free.
+        let h = uncached_heap(2);
+        let ptrs: Vec<_> = (0..64).map(|i| h.alloc(64 + i * 32).unwrap()).collect();
+        for p in ptrs.into_iter().step_by(2) {
+            h.free(p).unwrap();
+        }
+        assert!(!h.maint_needed());
+        let before = h.device().stats();
+        assert_eq!(h.maint_tick(4).unwrap(), None);
+        assert_eq!(h.scrub_step(4).unwrap(), None);
+        let after = h.device().stats();
+        assert_eq!(after.read_ops, before.read_ops, "a tidy tick read the device");
+        assert_eq!(after.write_ops, before.write_ops, "a tidy tick wrote the device");
+        assert_eq!(h.health().maint_steps, 0, "a tidy tick ran a step");
     }
 }

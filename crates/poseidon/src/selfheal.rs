@@ -1,5 +1,5 @@
-//! Online self-healing: live media-fault quarantine, allocation
-//! failover, and the budgeted background scrubber.
+//! Online self-healing: live media-fault quarantine and allocation
+//! failover.
 //!
 //! PR 2's fault model degrades gracefully at *load* time; this module is
 //! the serving-time half. When an operation trips
@@ -29,14 +29,15 @@
 //! Frees and pinned transactions cannot fail over (the caller holds a
 //! pointer into the damaged unit) and return the attributed error.
 //!
-//! The **scrubber** ([`PoseidonHeap::scrub_step`]) walks one unit
-//! (sub-heap or huge region) per budget tick, checking its free lists and
-//! extent table against the device's poison list and promoting anything
-//! it finds to quarantine *before* a user thread trips on it. It is
-//! incremental and budgeted so a `platform` thread can drive it
-//! concurrently with the serving loop ([`PoseidonHeap::scrub_until`]).
+//! Latent poison in cold structures is found by the scrub half of the
+//! background engine ([`crate::maintenance`]): each unit visit checks the
+//! unit's free lists and extent table against the device's poison list
+//! and promotes what it finds through the quarantine paths here,
+//! *before* a user thread trips on it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+use pmem::PoisonRange;
 
 use crate::error::{OpKind, PoseidonError, Result};
 use crate::heap::PoseidonHeap;
@@ -88,12 +89,9 @@ pub(crate) struct HealthCounters {
     pub(crate) blocks_quarantined: AtomicU64,
     pub(crate) extents_quarantined: AtomicU64,
     pub(crate) cache_blocks_invalidated: AtomicU64,
-    pub(crate) scrub_steps: AtomicU64,
-    pub(crate) scrub_passes: AtomicU64,
-    pub(crate) scrub_cursor: AtomicU64,
-    // Maintenance engine (see [`crate::maintenance`]): its own cursor
-    // over the same unit partition the scrubber walks, plus the cached
-    // trigger inputs the fragmentation walk refreshes.
+    // The background engine (see [`crate::maintenance`]): its cursor
+    // over the unit partition, plus the cached trigger inputs the
+    // fragmentation walk refreshes.
     pub(crate) maint_steps: AtomicU64,
     pub(crate) maint_passes: AtomicU64,
     pub(crate) maint_cursor: AtomicU64,
@@ -125,7 +123,7 @@ impl HealthCounters {
 }
 
 /// A heap's health report: what the self-healing layer has quarantined,
-/// how far the scrubber has come, and the media-error counters — the
+/// how far the background engine has come, and the media-error counters — the
 /// serving-time counterpart of [`RecoveryReport`](crate::RecoveryReport).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HeapHealth {
@@ -141,7 +139,8 @@ pub struct HeapHealth {
     pub media_errors_during_free: u64,
     /// Mid-operation media errors hit on transaction paths this session.
     pub media_errors_during_tx: u64,
-    /// Media errors the scrubber hit (or damage it promoted) proactively.
+    /// Media errors the engine's scrub half hit (or damage it promoted)
+    /// proactively.
     pub media_errors_during_scrub: u64,
     /// Allocations that transparently retried on another sub-heap after a
     /// live media fault.
@@ -155,13 +154,11 @@ pub struct HeapHealth {
     /// Cached blocks invalidated in DRAM when their sub-heap was
     /// condemned (magazine rounds, pool slots, residency bytes).
     pub cache_blocks_invalidated: u64,
-    /// Completed [`scrub_step`](PoseidonHeap::scrub_step) calls.
-    pub scrub_steps: u64,
-    /// Completed full passes over every unit (sub-heaps + huge region).
-    pub scrub_passes: u64,
-    /// Completed [`maint_step`](PoseidonHeap::maint_step) calls.
+    /// Completed engine steps ([`maint_step`](PoseidonHeap::maint_step)
+    /// calls and [`maint_tick`](PoseidonHeap::maint_tick)s that ran).
     pub maint_steps: u64,
-    /// Completed full maintenance passes over every unit.
+    /// Completed full engine passes over every unit (sub-heaps + huge
+    /// region).
     pub maint_passes: u64,
     /// Buddy merges committed by the maintenance engine this session.
     pub maint_merges: u64,
@@ -186,47 +183,6 @@ impl HeapHealth {
         self.subheaps_condemned_live > 0
             || self.blocks_quarantined_live > 0
             || self.extents_quarantined_live > 0
-    }
-}
-
-/// What one [`PoseidonHeap::scrub_step`] (or an accumulated
-/// [`scrub_until`](PoseidonHeap::scrub_until) run) examined and promoted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ScrubStep {
-    /// Units (sub-heaps or the huge region) examined.
-    pub units_examined: u64,
-    /// Full passes over every unit completed.
-    pub passes_completed: u64,
-    /// Sub-heaps condemned wholesale (metadata poison found).
-    pub subheaps_condemned: u64,
-    /// Free blocks promoted to `QUARANTINED` (user-data poison found).
-    pub blocks_quarantined: u64,
-    /// Bytes covered by the promoted blocks.
-    pub bytes_quarantined: u64,
-    /// Huge extents promoted to `QUARANTINED`.
-    pub extents_quarantined: u64,
-    /// Whether this step quarantined the huge region wholesale.
-    pub huge_region_quarantined: bool,
-}
-
-impl ScrubStep {
-    /// Whether the step promoted any damage to quarantine.
-    pub fn found_damage(&self) -> bool {
-        self.subheaps_condemned > 0
-            || self.blocks_quarantined > 0
-            || self.extents_quarantined > 0
-            || self.huge_region_quarantined
-    }
-
-    /// Folds another step's tallies into this one.
-    pub fn absorb(&mut self, other: &ScrubStep) {
-        self.units_examined += other.units_examined;
-        self.passes_completed += other.passes_completed;
-        self.subheaps_condemned += other.subheaps_condemned;
-        self.blocks_quarantined += other.blocks_quarantined;
-        self.bytes_quarantined += other.bytes_quarantined;
-        self.extents_quarantined += other.extents_quarantined;
-        self.huge_region_quarantined |= other.huge_region_quarantined;
     }
 }
 
@@ -258,7 +214,7 @@ impl PoseidonHeap {
     }
 
     /// Quarantines every free block of `sub` whose user bytes overlap
-    /// currently poisoned lines (block granularity, persistent records).
+    /// the `poison` snapshot (block granularity, persistent records).
     ///
     /// The sub-heap's transient cache is drained back to the free lists
     /// first, under the same transaction, so a poisoned block sitting in a
@@ -268,12 +224,12 @@ impl PoseidonHeap {
     /// to the application stay out (the caller owns them; their poison
     /// surfaces as a typed read error, and a later scrub pass catches
     /// them once they come back).
-    fn quarantine_poisoned_blocks_on(&self, sub: u16) -> Result<(u64, u64)> {
-        if !self.sub_usable(sub) {
-            return Ok((0, 0));
-        }
-        let poison = self.dev.scrub();
-        if poison.is_empty() {
+    pub(crate) fn quarantine_poisoned_blocks_on(
+        &self,
+        sub: u16,
+        poison: &[PoisonRange],
+    ) -> Result<(u64, u64)> {
+        if !self.sub_usable(sub) || poison.is_empty() {
             return Ok((0, 0));
         }
         let op = self.begin_op(sub)?;
@@ -285,17 +241,17 @@ impl PoseidonHeap {
                 cache.clear(sub, &victims);
             }
         }
-        let (blocks, bytes) = quarantine::isolate_poisoned_free_blocks(&op, &poison)?;
+        let (blocks, bytes) = quarantine::isolate_poisoned_free_blocks(&op, poison)?;
         drop(op);
         self.health.blocks_quarantined.fetch_add(blocks + drained_quarantined, Ordering::Relaxed);
         Ok((blocks + drained_quarantined, bytes))
     }
 
-    /// Quarantines every free huge extent overlapping poisoned data pages.
-    fn quarantine_poisoned_extents(&self) -> Result<(u64, u64)> {
-        let poison = self.dev.scrub();
+    /// Quarantines every free huge extent overlapping the `poison`
+    /// snapshot's data pages.
+    pub(crate) fn quarantine_poisoned_extents(&self, poison: &[PoisonRange]) -> Result<(u64, u64)> {
         let op = self.begin_huge()?;
-        let (extents, bytes) = hugeregion::quarantine_poisoned(&op, &poison)?;
+        let (extents, bytes) = hugeregion::quarantine_poisoned(&op, poison)?;
         drop(op);
         self.health.extents_quarantined.fetch_add(extents, Ordering::Relaxed);
         Ok((extents, bytes))
@@ -328,7 +284,7 @@ impl PoseidonHeap {
                 // if something was actually withdrawn — otherwise the
                 // poison sits under a live allocation and retrying the
                 // same operation would loop on the same line.
-                match self.quarantine_poisoned_blocks_on(sub) {
+                match self.quarantine_poisoned_blocks_on(sub, &self.dev.scrub()) {
                     Ok((blocks, _)) => (attributed, blocks > 0),
                     Err(_) => {
                         let _ = self.condemn_subheap(sub);
@@ -343,7 +299,7 @@ impl PoseidonHeap {
                 self.huge_quarantined.store(true, Ordering::Release);
                 (attributed, false)
             }
-            FaultUnit::HugeData => match self.quarantine_poisoned_extents() {
+            FaultUnit::HugeData => match self.quarantine_poisoned_extents(&self.dev.scrub()) {
                 Ok((extents, _)) => (attributed, extents > 0),
                 Err(_) => {
                     self.huge_quarantined.store(true, Ordering::Release);
@@ -355,7 +311,7 @@ impl PoseidonHeap {
     }
 
     /// The heap's current health: quarantine census, live media-error
-    /// counters, and scrub progress. Cheap (atomic loads plus the
+    /// counters, and engine progress. Cheap (atomic loads plus the
     /// device's poison-line count); safe to poll from a serving loop.
     pub fn health(&self) -> HeapHealth {
         let c = &self.health;
@@ -372,148 +328,12 @@ impl PoseidonHeap {
             blocks_quarantined_live: c.blocks_quarantined.load(Ordering::Relaxed),
             extents_quarantined_live: c.extents_quarantined.load(Ordering::Relaxed),
             cache_blocks_invalidated: c.cache_blocks_invalidated.load(Ordering::Relaxed),
-            scrub_steps: c.scrub_steps.load(Ordering::Relaxed),
-            scrub_passes: c.scrub_passes.load(Ordering::Relaxed),
             maint_steps: c.maint_steps.load(Ordering::Relaxed),
             maint_passes: c.maint_passes.load(Ordering::Relaxed),
             maint_merges: c.maint_merges.load(Ordering::Relaxed),
             maint_table_levels_shrunk: c.maint_levels_shrunk.load(Ordering::Relaxed),
             maint_blocks_trimmed: c.maint_blocks_trimmed.load(Ordering::Relaxed),
         }
-    }
-
-    /// One budgeted scrubber increment: examines up to `budget` units
-    /// (each unit is one sub-heap, or the huge region) starting at the
-    /// persistent-within-the-session cursor, checks their free lists and
-    /// extent table against the device's poison list, and promotes any
-    /// discovered damage to quarantine at the usual granularity. A full
-    /// cycle over every unit counts one *pass*.
-    ///
-    /// Budgeted and incremental on purpose (the same step/budget shape
-    /// the roadmap wants for incremental defrag): drive it from a
-    /// `platform` thread concurrently with the serving loop, or call it
-    /// inline between requests.
-    ///
-    /// # Errors
-    ///
-    /// Device errors other than media faults (those are absorbed into
-    /// quarantine and reported in the step).
-    pub fn scrub_step(&self, budget: usize) -> Result<ScrubStep> {
-        let n = self.layout.num_subheaps() as u64;
-        let units = n + u64::from(self.layout.huge_data_size() > 0);
-        let mut step = ScrubStep::default();
-        let poison = self.dev.scrub();
-        for _ in 0..budget.clamp(1, units as usize) {
-            let raw = self.health.scrub_cursor.fetch_add(1, Ordering::Relaxed);
-            let unit = raw % units;
-            if (raw + 1).is_multiple_of(units) {
-                self.health.scrub_passes.fetch_add(1, Ordering::Relaxed);
-                step.passes_completed += 1;
-            }
-            step.units_examined += 1;
-            if poison.is_empty() {
-                continue;
-            }
-            if unit == n {
-                self.scrub_huge_unit(&poison, &mut step);
-            } else {
-                self.scrub_sub_unit(unit as u16, &poison, &mut step);
-            }
-        }
-        self.health.scrub_steps.fetch_add(1, Ordering::Relaxed);
-        Ok(step)
-    }
-
-    fn scrub_sub_unit(&self, sub: u16, poison: &[pmem::PoisonRange], step: &mut ScrubStep) {
-        if !self.sub_usable(sub) {
-            return;
-        }
-        let meta_base = self.layout.meta_base(sub);
-        if quarantine::overlaps_any(poison, meta_base, self.layout.meta_size) {
-            // Metadata poison found before any user thread tripped on it.
-            self.health.media_errors_scrub.fetch_add(1, Ordering::Relaxed);
-            if self.condemn_subheap(sub).is_ok() {
-                step.subheaps_condemned += 1;
-            }
-            return;
-        }
-        if !quarantine::overlaps_any(poison, self.layout.user_base(sub), self.layout.user_size) {
-            return;
-        }
-        match self.quarantine_poisoned_blocks_on(sub) {
-            Ok((blocks, bytes)) => {
-                if blocks > 0 {
-                    self.health.media_errors_scrub.fetch_add(1, Ordering::Relaxed);
-                }
-                step.blocks_quarantined += blocks;
-                step.bytes_quarantined += bytes;
-            }
-            Err(_) => {
-                // The walk itself hit damage: escalate to condemnation.
-                self.health.media_errors_scrub.fetch_add(1, Ordering::Relaxed);
-                if self.condemn_subheap(sub).is_ok() {
-                    step.subheaps_condemned += 1;
-                }
-            }
-        }
-    }
-
-    fn scrub_huge_unit(&self, poison: &[pmem::PoisonRange], step: &mut ScrubStep) {
-        if self.layout.huge_data_size() == 0 || self.huge_quarantined.load(Ordering::Acquire) {
-            return;
-        }
-        if quarantine::overlaps_any(poison, self.layout.huge_meta_base(), self.layout.huge_meta_size()) {
-            self.health.media_errors_scrub.fetch_add(1, Ordering::Relaxed);
-            self.huge_quarantined.store(true, Ordering::Release);
-            step.huge_region_quarantined = true;
-            return;
-        }
-        let any_band_hit =
-            self.layout.huge_bands().iter().any(|b| quarantine::overlaps_any(poison, b.phys, b.len));
-        if !any_band_hit {
-            return;
-        }
-        match self.quarantine_poisoned_extents() {
-            Ok((extents, bytes)) => {
-                if extents > 0 {
-                    self.health.media_errors_scrub.fetch_add(1, Ordering::Relaxed);
-                }
-                step.extents_quarantined += extents;
-                step.bytes_quarantined += bytes;
-            }
-            Err(_) => {
-                self.health.media_errors_scrub.fetch_add(1, Ordering::Relaxed);
-                self.huge_quarantined.store(true, Ordering::Release);
-                step.huge_region_quarantined = true;
-            }
-        }
-    }
-
-    /// Runs the scrubber until `stop` is set: the background-thread
-    /// driver. Spawn it on a [`platform::thread`] scope next to the
-    /// serving threads:
-    ///
-    /// ```ignore
-    /// let stop = AtomicBool::new(false);
-    /// platform::thread::scope(|s| {
-    ///     s.spawn(|| heap.scrub_until(&stop, 1));
-    ///     // ... serving threads ...
-    ///     stop.store(true, Ordering::Release);
-    /// });
-    /// ```
-    ///
-    /// Returns the accumulated step tallies.
-    ///
-    /// # Errors
-    ///
-    /// As for [`scrub_step`](Self::scrub_step).
-    pub fn scrub_until(&self, stop: &AtomicBool, budget: usize) -> Result<ScrubStep> {
-        let mut total = ScrubStep::default();
-        while !stop.load(Ordering::Acquire) {
-            total.absorb(&self.scrub_step(budget)?);
-            std::thread::yield_now();
-        }
-        Ok(total)
     }
 }
 

@@ -16,8 +16,9 @@
 //!   not an O(data) rescan;
 //! * **live media faults** — value blocks are poisoned while serving;
 //!   workers heal damaged values by rewriting them through the self-heal
-//!   path (alloc fresh, swap, free the damaged block, which the budgeted
-//!   [`scrub_step`](PoseidonHeap::scrub_step) then quarantines);
+//!   path (alloc fresh, swap, free the damaged block, which the scrub
+//!   half of the budgeted background engine
+//!   ([`maint_tick`](PoseidonHeap::maint_tick)) then quarantines);
 //! * **online grow** — the pool grows under load; workers that hit
 //!   `NoSpace` raise a pressure flag and retry until the grown capacity
 //!   absorbs the spill.
@@ -190,10 +191,10 @@ pub struct KvServeConfig {
     pub verify_sample: u64,
     /// Committed value blocks poisoned by each poison event.
     pub poison_keys: u64,
-    /// Units examined per coordinator scrub tick.
-    pub scrub_budget: usize,
-    /// Work units per coordinator maintenance tick (`0` disables the
-    /// maintenance engine for the run — the comparison baseline).
+    /// Work units per coordinator engine tick (`0` disables the
+    /// background engine — scrubbing as well as merging — for the run:
+    /// the comparison baseline, which cannot be combined with
+    /// [`SoakEvent::Poison`]).
     pub maint_budget: usize,
     /// Grow early when the continuously-tracked largest free huge extent
     /// ([`PoseidonHeap::huge_largest_free`]) drops below this many bytes
@@ -227,7 +228,6 @@ impl KvServeConfig {
             crash_mode: CrashMode::Strict,
             verify_sample: 0,
             poison_keys: 4,
-            scrub_budget: 4,
             maint_budget: 4,
             huge_headroom: 0,
         }
@@ -565,7 +565,7 @@ impl Soak {
                         if PersistentAllocator::free(heap, offset).is_err() {
                             self.free_errors.fetch_add(1, Ordering::Relaxed);
                         }
-                        let _ = heap.scrub_step(usize::MAX);
+                        let _ = heap.maint_tick(usize::MAX);
                     }
                     Err(e) => panic!("payload write failed: {e}"),
                 },
@@ -864,8 +864,8 @@ impl Soak {
     }
 
     /// The coordinator: fires events at progress thresholds, ticks the
-    /// scrubber once poison is live, grows early under space pressure,
-    /// and cuts interval snapshots.
+    /// background engine, grows early under space pressure, and cuts
+    /// interval snapshots.
     fn coordinate(
         &self,
         events_out: &mut Vec<EventReport>,
@@ -882,7 +882,6 @@ impl Soak {
         let mut prev: Vec<HistogramSnapshot> = OpClass::ALL.iter().map(|&c| self.merged(c)).collect();
         let mut prev_instant = Instant::now();
         let mut prev_ops = 0u64;
-        let mut poison_live = false;
         let mut grown = false;
         loop {
             let finished = self.workers_done.load(Ordering::Acquire) == self.config.threads as u64;
@@ -890,10 +889,7 @@ impl Soak {
             while next_event < event_at.len() && done >= event_at[next_event] {
                 let report = match self.config.events[next_event] {
                     SoakEvent::Kill => self.event_kill(done),
-                    SoakEvent::Poison => {
-                        poison_live = true;
-                        self.event_poison(done, poisoned)
-                    }
+                    SoakEvent::Poison => self.event_poison(done, poisoned),
                     SoakEvent::Grow if grown => {
                         // A pressure-triggered grow already ran in its
                         // place; nothing left to do.
@@ -939,16 +935,10 @@ impl Soak {
                     events_out.push(self.event_grow(done));
                 }
             }
-            if poison_live {
-                let guard = self.state.read();
-                if let Some(st) = guard.as_ref() {
-                    let _ = st.heap.scrub_step(self.config.scrub_budget);
-                }
-            }
             if self.config.maint_budget > 0 {
-                // Maintenance tick: the engine self-schedules off its
-                // trigger policy (pressure flag + fragmentation
-                // watermarks); a tick on a tidy heap is a no-op.
+                // Engine tick: the engine self-schedules off its trigger
+                // policy (live poison, pressure flag, fragmentation
+                // watermark); a tick on a tidy heap is a no-op.
                 let guard = self.state.read();
                 if let Some(st) = guard.as_ref() {
                     let _ = st.heap.maint_tick(self.config.maint_budget);
@@ -1000,13 +990,20 @@ impl Soak {
 /// Panics on any correctness violation: an acknowledged key missing or
 /// corrupt, a scan out of order, recovery failure, audit failure, or a
 /// worker unable to make progress. Soft degradation (healing, retries,
-/// stalls) is returned in [`SoakReport::counters`] instead.
+/// stalls) is returned in [`SoakReport::counters`] instead. Also panics
+/// up front on a config that pairs `maint_budget = 0` with
+/// [`SoakEvent::Poison`].
 pub fn run_soak(config: &KvServeConfig) -> SoakReport {
     assert!(config.threads >= 1 && config.shards >= 1, "need at least one thread and shard");
     assert!(config.value_size >= PAYLOAD_BYTES, "values carry a 16-byte payload");
     assert!(
         config.update_permille + config.insert_permille + config.scan_permille <= 1000,
         "op mix exceeds 1000 permille"
+    );
+    assert!(
+        config.maint_budget > 0 || !config.events.contains(&SoakEvent::Poison),
+        "maint_budget = 0 turns off the background engine and its scrub half, which the \
+         SoakEvent::Poison verification needs"
     );
     let dev = Arc::new(PmemDevice::new(
         DeviceConfig::new(config.capacity).growable_to(config.max_capacity).with_media_faults(true),
@@ -1089,17 +1086,14 @@ pub fn run_soak(config: &KvServeConfig) -> SoakReport {
     });
 
     // Final verification: every poisoned key must be re-readable (healed
-    // by traffic or healed here), the heap must audit clean, and the
-    // scrubber gets a full pass to quarantine freed damage.
+    // by traffic or healed here) and the heap must audit clean.
     let guard = soak.state.read();
     let st = guard.as_ref().expect("service state missing");
-    for _ in 0..2 {
-        let _ = st.heap.scrub_step(usize::MAX);
-    }
     if config.maint_budget > 0 {
-        // Quiesce the maintenance engine: the final fragmentation sample
-        // then reflects a fully-coalesced heap, which is what the
-        // engine-on/engine-off comparison measures.
+        // Quiesce the engine: its scrub half quarantines freed damage,
+        // and the final fragmentation sample then reflects a
+        // fully-coalesced heap, which is what the engine-on/engine-off
+        // comparison measures.
         loop {
             let step = st.heap.maint_step(usize::MAX).expect("final maintenance pass");
             if step.fully_defragged {
@@ -1227,6 +1221,13 @@ mod tests {
         // still counted as fragmented is genuinely pinned by live blocks
         // interleaving the free ones, not deferred coalescing work.
         assert!(last.frag_bytes <= last.free_bytes);
+    }
+
+    #[test]
+    #[should_panic(expected = "maint_budget = 0 turns off the background engine")]
+    fn soak_rejects_maint_budget_zero_with_poison() {
+        // The poison verification needs the engine's scrub half.
+        run_soak(&small(vec![SoakEvent::Poison]).with_maint(0));
     }
 
     #[test]

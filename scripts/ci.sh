@@ -48,10 +48,12 @@ echo "== crashfuzz --iters 50 (fixed seed, cached-path sweep)"
 cargo run --release --bin crashfuzz -- --iters 50 --seed 161803
 
 # Online self-healing gates: live-fault cases (poison armed while the
-# heap serves, scrubber ticking concurrently; every case must end with
-# balanced quarantine accounting, a poison-free cache, no poisoned
-# block handed out, and verdicts that survive a crash), plus the
-# quarantine-vs-frontend race and bulk-fault integration tests.
+# heap serves, background-engine ticks interleaved — the scrubber is now
+# the engine's scrub half, so every unit visit scrubs before it merges;
+# every case must end with balanced quarantine accounting, a poison-free
+# cache, no poisoned block handed out, and verdicts that survive a
+# crash), plus the quarantine-vs-frontend race and bulk-fault
+# integration tests.
 echo "== crashfuzz --iters 40 --poison-live (fixed seed)"
 cargo run --release --bin crashfuzz -- --iters 40 --poison-live --seed 314159
 
@@ -95,10 +97,12 @@ cargo run --release -q -p bench --bin kvserve -- \
 echo "== cargo test --test service (KV service contract)"
 cargo test -q --test service
 
-# Maintenance-engine gates: the unit/integration tests for the budgeted
-# incremental defragmenter (budget ceilings, cursor persistence,
-# fragmentation accounting, trigger policy, engine-on-vs-off soak
-# comparison), then fixed-seed crash sweeps over a pre-fragmented heap
+# Maintenance-engine gates: the unit/integration tests for the heap's one
+# background engine — the budgeted incremental defragmenter whose unit
+# visits also carry the scrubber as their scrub half (budget ceilings,
+# scrub-before-merge, cursor persistence, fragmentation accounting, the
+# single trigger policy, engine-on-vs-off soak comparison), then
+# fixed-seed crash sweeps over a pre-fragmented heap
 # where the crash lands at maintenance-unit commit points — block
 # accounting and extent tiling must audit clean after every recovery,
 # and a post-recovery convergence loop must drive coalescing debt to

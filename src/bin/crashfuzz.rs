@@ -254,18 +254,18 @@ fn run_live_case(case_seed: u64) -> Result<CaseOutcome, String> {
                     Err(_) => {}
                 },
                 _ => {
-                    // Budgeted scrubber tick: promotes latent poison to
-                    // quarantine before a user thread trips on it.
-                    heap.scrub_step(1 + rng.below(8) as usize).map_err(|e| format!("scrub_step: {e}"))?;
+                    // Budgeted engine tick: its scrub half promotes latent
+                    // poison to quarantine before a user thread trips on it.
+                    heap.maint_tick(1 + rng.below(8) as usize).map_err(|e| format!("maint_tick: {e}"))?;
                 }
             }
         }
         dev.disarm_poison();
     }
 
-    // A full scrub pass drains whatever poison the workload never touched.
-    let units = heap.layout().num_subheaps() as usize + 1;
-    heap.scrub_step(2 * units).map_err(|e| format!("final scrub: {e}"))?;
+    // A tick runs to a clean cycle, so it drains whatever poison the
+    // workload never touched.
+    heap.maint_tick(usize::MAX).map_err(|e| format!("final scrub: {e}"))?;
 
     // Invariant 1 — quarantine accounting balances: the health report's
     // frozen count is the live set, every counted media error was

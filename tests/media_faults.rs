@@ -87,7 +87,7 @@ fn free_of_poisoned_live_block_bumps_live_quarantine_counter() {
 
     // A scrub pass finds nothing new — the block is QUARANTINED, not
     // FREE — so the counter must not double-count.
-    heap.scrub_step(usize::MAX).unwrap();
+    heap.maint_tick(usize::MAX).unwrap();
     assert_eq!(heap.health().blocks_quarantined_live, 1);
 
     // And the block is never handed out again.
@@ -120,7 +120,7 @@ fn cache_drain_of_poisoned_block_bumps_live_quarantine_counter() {
 
     // Scrubbing the sub-heap evicts cache residents through
     // `drain_blocks`, which routes the poisoned block to quarantine.
-    heap.scrub_step(usize::MAX).unwrap();
+    heap.maint_tick(usize::MAX).unwrap();
     assert_eq!(
         heap.health().blocks_quarantined_live,
         1,

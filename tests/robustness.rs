@@ -240,7 +240,7 @@ fn online_quarantine_races_cached_frontend() {
         dev.poison(heap.layout().meta_base(0), 1).unwrap();
         let mut steps = 0u32;
         while heap.health().quarantined_subheaps == 0 {
-            heap.scrub_step(2).expect("scrub step under live load");
+            heap.maint_tick(2).expect("scrub step under live load");
             std::thread::yield_now();
             steps += 1;
             assert!(steps < 10_000, "scrubber never condemned the poisoned sub-heap");
@@ -248,7 +248,7 @@ fn online_quarantine_races_cached_frontend() {
         // Let the workers run against the condemned unit for a while,
         // with the scrubber still ticking alongside them.
         for _ in 0..200 {
-            heap.scrub_step(1).expect("scrub step after condemnation");
+            heap.maint_tick(1).expect("scrub step after condemnation");
             std::thread::yield_now();
         }
         stop.store(true, Ordering::Relaxed);
@@ -357,14 +357,14 @@ fn online_fifty_live_faults_heal_under_load() {
                 dev.poison(layout.user_base(sub) + wave * 8192, 1).unwrap();
                 faults += 1;
             }
-            let step = heap.scrub_step(THREADS + 1).expect("scrub step mid-sweep");
+            let step = heap.maint_tick(THREADS + 1).expect("scrub step mid-sweep").unwrap_or_default();
             promoted_blocks += step.blocks_quarantined;
             std::thread::yield_now();
         }
         // Two more full passes so every unit is examined after the last
         // injection wave.
         for _ in 0..2 {
-            let step = heap.scrub_step(THREADS + 1).expect("final scrub pass");
+            let step = heap.maint_tick(THREADS + 1).expect("final scrub pass").unwrap_or_default();
             promoted_blocks += step.blocks_quarantined;
         }
         stop.store(true, Ordering::Relaxed);
